@@ -20,32 +20,17 @@ from .pipeline import (
     run_reduce_plan,
 )
 from .profiling import ColumnProfile, ProfileCollector, SpaceSavingSketch, concentration
-from .redundancy import (
-    PairMatchStats,
-    StreetNormalizer,
-    detect_concatenation,
-    functional_dependency,
-    normalize_street,
-    pair_match,
-)
+from .redundancy import PairMatchStats, StreetNormalizer, normalize_street
 from .reduce import (
     ReductionPlan,
     ValueDictionary,
     apply_plan,
     build_plan,
     code_width_for,
-    encode_column,
     reconstruct_table,
 )
 from .report import AuditReport, file_sha256
-from .temporal import (
-    TemporalRules,
-    TemporalSummary,
-    compute_durations,
-    detect_hour_spikes,
-    evaluate_hour_histogram,
-    pair_duration,
-)
+from .temporal import TemporalRules, TemporalSummary, evaluate_hour_histogram, pair_duration
 from .timestamps import (
     LocalTimestamp,
     TimestampParser,
@@ -91,20 +76,14 @@ __all__ = [
     "apply_plan",
     "build_plan",
     "code_width_for",
-    "compute_durations",
     "concentration",
-    "detect_concatenation",
-    "detect_hour_spikes",
-    "encode_column",
     "evaluate_hour_histogram",
     "file_sha256",
-    "functional_dependency",
     "load_config",
     "load_dictionary",
     "normalize_street",
     "open_table",
     "pair_duration",
-    "pair_match",
     "parse_timestamp",
     "reconstruct_table",
     "run_audit",

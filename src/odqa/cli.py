@@ -88,9 +88,9 @@ def main(argv: list[str] | None = None) -> int:
             cfg.formats = parse_formats(args.format)
 
         if args.command == "reduce-apply":
-            result = run_reduce_apply(cfg, args.plan, command="reduce-apply")
+            result = run_reduce_apply(cfg, args.plan)
         else:
-            result = _RUNNERS[args.command](cfg, command=args.command)
+            result = _RUNNERS[args.command](cfg)
     except OdqaError as exc:
         print(f"odqa: error: {exc}", file=sys.stderr)
         return 2

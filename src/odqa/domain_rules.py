@@ -10,10 +10,10 @@ files so domain owners can maintain them without tooling.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Iterable
 
 from .errors import ConfigError
 from .findings import Measurement, make_finding
@@ -128,34 +128,6 @@ class ReferenceChecker(RowConsumer):
         return self.result
 
 
-def check_reference_membership(
-    values: Iterable[str],
-    reference: frozenset[str],
-    *,
-    field: str = "value",
-    classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-) -> tuple[MembershipResult, list]:
-    """Materialized-sequence variant of ReferenceChecker."""
-    findings: list = []
-    res = MembershipResult(field)
-    kind_of = classifier.kind_of
-    for ordinal, v in enumerate(values, start=1):
-        if not v or kind_of(v) is not None:
-            continue
-        res.checked += 1
-        if v in reference:
-            continue
-        res.invalid += 1
-        res.invalid_values[v] = res.invalid_values.get(v, 0) + 1
-        findings.append(make_finding(
-            "invalid_value",
-            f"{field!r} value {v!r} is not in the reference set",
-            fields=(field,),
-            row_locator=ordinal,
-        ))
-    return res, findings
-
-
 @dataclass(frozen=True)
 class GeoBounds:
     lat_min: float = DEFAULT_LAT_MIN
@@ -181,9 +153,10 @@ class GeoResult:
 class GeoBoundsChecker(RowConsumer):
     """Checks coordinate pairs against a closed bounding box.
 
-    Values that do not parse as decimals are counted and skipped here;
-    they surface as type violations through the dictionary check, not as
-    bounds findings.
+    Values that do not parse as finite decimals (nan and +-inf on either
+    side included) are counted as unparsed and skipped here; they surface
+    as type violations through the dictionary check, not as bounds
+    findings.
     """
 
     def __init__(
@@ -227,7 +200,7 @@ class GeoBoundsChecker(RowConsumer):
         except ValueError:
             self.result.unparsed += 1
             return
-        if lat != lat or lon != lon or lat in (float("inf"), float("-inf")):
+        if not (math.isfinite(lat) and math.isfinite(lon)):
             self.result.unparsed += 1
             return
         res = self.result
@@ -257,40 +230,6 @@ class GeoBoundsChecker(RowConsumer):
 
     def finish(self) -> GeoResult:
         return self.result
-
-
-def check_geo_bounds(
-    lat_values: Iterable[str],
-    lon_values: Iterable[str],
-    bounds: GeoBounds = GeoBounds(),
-    *,
-    classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-) -> tuple[GeoResult, list]:
-    """Materialized-pair variant of GeoBoundsChecker."""
-    findings: list = []
-    res = GeoResult()
-    kind_of = classifier.kind_of
-    for ordinal, (raw_lat, raw_lon) in enumerate(zip(lat_values, lon_values), start=1):
-        if not raw_lat or not raw_lon or kind_of(raw_lat) is not None or kind_of(raw_lon) is not None:
-            continue
-        try:
-            lat, lon = float(raw_lat), float(raw_lon)
-        except ValueError:
-            res.unparsed += 1
-            continue
-        if lat != lat or lon != lon:
-            res.unparsed += 1
-            continue
-        res.pairs_checked += 1
-        if not bounds.contains(lat, lon):
-            res.out_of_bounds += 1
-            findings.append(make_finding(
-                "geo_out_of_bounds",
-                f"({raw_lat}, {raw_lon}) falls outside the configured box",
-                fields=("latitude", "longitude"),
-                row_locator=ordinal,
-            ))
-    return res, findings
 
 
 @dataclass
@@ -379,22 +318,6 @@ class UniqueChecker(RowConsumer):
         return res
 
 
-def check_unique(
-    values: Iterable[str],
-    *,
-    field: str = "key",
-    required: bool = False,
-    classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-) -> tuple[UniqueResult, list]:
-    """Materialized-sequence variant of UniqueChecker."""
-    findings: list = []
-    checker = UniqueChecker(field, required=required, classifier=classifier, emit=findings.append)
-    checker._idx = 0
-    for ordinal, v in enumerate(values, start=1):
-        checker.consume(ordinal, [v])
-    return checker.finish(), findings
-
-
 _DECIMAL_TEXT_RE = re.compile(r"[+-]?[0-9]+(?:\.([0-9]+))?")
 
 
@@ -479,20 +402,3 @@ class PrecisionAuditor(RowConsumer):
                     measured=Measurement(audit.flagged, "values"),
                 ))
         return self.results
-
-
-def audit_precision(
-    values: Iterable[str],
-    max_decimals: int = DEFAULT_MAX_DECIMALS,
-    *,
-    field: str = "value",
-    classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-) -> tuple[PrecisionAudit, list]:
-    """Materialized-sequence variant of PrecisionAuditor."""
-    findings: list = []
-    auditor = PrecisionAuditor([field], max_decimals, classifier=classifier, emit=findings.append)
-    auditor._cols = [(0, auditor.results[field])]
-    for ordinal, v in enumerate(values, start=1):
-        auditor.consume(ordinal, [v])
-    out = auditor.finish()
-    return out[field], findings

@@ -85,22 +85,6 @@ class MissingClassifier:
 DEFAULT_CLASSIFIER = MissingClassifier()
 
 
-@dataclass(frozen=True, slots=True)
-class CellValue:
-    """A cell with its classification; materialized only on demand."""
-
-    raw: str
-    missing_kind: str | None
-
-    @property
-    def is_present(self) -> bool:
-        return self.missing_kind is None
-
-
-def classify_missing(raw: str, classifier: MissingClassifier = DEFAULT_CLASSIFIER) -> CellValue:
-    return CellValue(raw, classifier.kind_of(raw))
-
-
 _ALLOWED = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
 
 

@@ -1,9 +1,19 @@
-"""End-to-end runs: wire consumers from config, stream once, report.
+"""End-to-end runs: one driver streams the input once and reports.
 
-Each run_* function is one CLI subcommand. They all follow the same
-shape: open the table, attach the consumers the config asks for, stream
-the file exactly once, then fold consumer results and findings into an
-AuditReport and write the requested renderings into out_dir.
+Each run_* function is one CLI subcommand. The four streaming commands
+(audit, profile, dict-check, reduce-plan) are each a tuple of stages
+handed to `_run`, the single driver. `_run` opens the table, wires the
+column profiler, then runs every stage up to its `yield`: that part of a
+stage attaches its consumers and names the columns it needs. It streams
+the file exactly once through all of them, resumes the stages in the
+same order to turn consumer results into report sections, then
+assembles the AuditReport, sets the exit status and writes the requested
+renderings into out_dir. Stage order is consumer order, and so the
+order in which findings reach the sink.
+
+reduce-apply streams the file through a plan instead of consumers, so it
+opens the table itself and shares the driver's sink, assembly and exit
+status code.
 
 Output filenames are fixed (report.json, report.md, profiles.csv,
 pairs.csv, plan.json, apply_result.json) so downstream tooling can diff
@@ -16,6 +26,7 @@ import json
 import logging
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Callable
 
 from .config import AuditConfig
 from .dictionary import (
@@ -35,7 +46,7 @@ from .domain_rules import (
 )
 from .errors import ConfigError, PlanError
 from .findings import Finding, FindingSink, apply_severity_overrides, make_finding
-from .ingest import RawTable, RowConsumer, open_table, stream_rows
+from .ingest import MissingClassifier, RawTable, RowConsumer, StreamResult, open_table, stream_rows
 from .profiling import ProfileCollector, concentration, tier_table
 from .redundancy import ConcatChecker, FDChecker, PairCollector
 from .reduce import ApplyResult, ReductionPlan, apply_plan, build_plan
@@ -81,86 +92,82 @@ def _require_input(cfg: AuditConfig) -> Path:
     return cfg.input_path
 
 
-def _require_columns(table: RawTable, wanted: dict[str, str]) -> None:
-    """wanted maps field name -> the config knob that asked for it."""
-    missing = {name: why for name, why in wanted.items() if table.column_index(name) is None}
-    if missing:
-        parts = ", ".join(f"{name!r} (from {why})" for name, why in sorted(missing.items()))
-        raise ConfigError(f"configured column(s) not in the header: {parts}")
-
-
-def _load_domain_references(
-    dictionary: DataDictionary | None, emit
-) -> dict[str, frozenset[str]]:
-    """Load domain_ref files named by the dictionary, relative to it.
-
-    An unreadable reference file degrades to a finding and skips that
-    one field's domain check; the rest of the audit proceeds.
-    """
-    refs: dict[str, frozenset[str]] = {}
-    if dictionary is None or dictionary.source_path is None:
-        return refs
-    base = Path(dictionary.source_path).parent
-    for desc in dictionary.fields:
-        if desc.domain_ref is None:
-            continue
-        path = Path(desc.domain_ref)
-        if not path.is_absolute():
-            path = base / path
-        try:
-            refs[desc.name] = load_reference(path)
-        except ConfigError as exc:
-            emit(make_finding(
-                "reference_unreadable",
-                f"domain reference for {desc.name!r} could not be loaded: {exc}",
-                fields=(desc.name,),
-            ))
-    return refs
-
-
-def _make_emit(sink: FindingSink, cfg: AuditConfig):
+def _open(cfg: AuditConfig):
+    """Return a finding sink, its emit (severity overrides applied) and the
+    input table, whose header findings are already emitted."""
+    sink = FindingSink(cfg.sample_cap)
     overrides = cfg.severity_overrides
-    if not overrides:
-        return sink.emit
+    emit = (lambda f: sink.emit(apply_severity_overrides(f, overrides))) if overrides else sink.emit
+    table = open_table(cfg.input_path)
+    for f in table.header_findings:
+        emit(f)
+    return sink, emit, table
 
-    def emit(finding: Finding) -> None:
-        sink.emit(apply_severity_overrides(finding, overrides))
 
-    return emit
+def _conclude(cfg: AuditConfig, command: str, table: RawTable, sink: FindingSink,
+              sections: dict, delivered: int, **fields) -> RunResult:
+    """Assemble the report and set the exit status from the sink."""
+    report = AuditReport.build(
+        dataset_path=str(table.path),
+        dataset_sha256=file_sha256(table.path),
+        byte_size=table.byte_size,
+        row_count=table.row_count or 0,
+        delivered_rows=delivered,
+        headers=list(table.headers),
+        config_digest=cfg.digest(),
+        command=command,
+        severity_threshold=cfg.severity_threshold,
+        sink=sink,
+        sections=sections,
+    )
+    status = EXIT_FINDINGS if sink.count_at_or_above(cfg.severity_threshold) else EXIT_CLEAN
+    return RunResult(report=report, sink=sink, exit_status=status, **fields)
+
+
+def _write_outputs(cfg: AuditConfig, result: RunResult, files: list) -> None:
+    """Write each (output key, file name, render(path)) into out_dir, in order."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for key, name, render in files:
+        path = out / name
+        render(path)
+        result.output_paths[key] = path
 
 
 @dataclass
-class _Wiring:
+class _Run:
+    """What the stages of one streaming command share."""
+
+    cfg: AuditConfig
+    table: RawTable
+    emit: Callable[[Finding], None]
+    classifier: MissingClassifier
+    profiler: ProfileCollector
     consumers: list[RowConsumer] = dc_field(default_factory=list)
-    profiler: ProfileCollector | None = None
-    durations: DurationAuditor | None = None
-    type_checker: TypeChecker | None = None
-    references: dict[str, ReferenceChecker] = dc_field(default_factory=dict)
-    geo: GeoBoundsChecker | None = None
-    uniques: list[UniqueChecker] = dc_field(default_factory=list)
-    precision: PrecisionAuditor | None = None
-    pairs: PairCollector | None = None
-    concats: list[ConcatChecker] = dc_field(default_factory=list)
-    fds: list[FDChecker] = dc_field(default_factory=list)
+    wanted: dict[str, str] = dc_field(default_factory=dict)    # column -> config knob asking for it
+    stream: StreamResult | None = None
+    sections: dict = dc_field(default_factory=dict)
+    files: list = dc_field(default_factory=list)    # written before the report renderings
+    pair_stats: list = dc_field(default_factory=list)
+    concat_stats: list = dc_field(default_factory=list)
+    plan: ReductionPlan | None = None
+
+    def need(self, knob: str, *columns: str) -> None:
+        for name in columns:
+            self.wanted[name] = knob
+
+    def add(self, consumer):
+        self.consumers.append(consumer)
+        return consumer
 
 
-def _wire(
-    cfg: AuditConfig,
-    table: RawTable,
-    dictionary: DataDictionary | None,
-    emit,
-    *,
-    temporal: bool = True,
-    domain: bool = True,
-    redundancy: bool = True,
-    types: bool = True,
-) -> _Wiring:
-    w = _Wiring()
+def _run(cfg: AuditConfig, command: str, stages, write: bool) -> RunResult:
+    """Run one streaming command made of stages; see the module docstring."""
+    _require_input(cfg)
+    sink, emit, table = _open(cfg)
     classifier = cfg.classifier()
     fm = cfg.field_map
-    wanted: dict[str, str] = {}
-
-    w.profiler = ProfileCollector(
+    profiler = ProfileCollector(
         classifier=classifier,
         distinct_cap=cfg.distinct_cap,
         sketch_capacity=cfg.sketch_capacity,
@@ -168,122 +175,72 @@ def _wire(
         agency_field=fm.agency,
         emit=emit,
     )
-    w.consumers.append(w.profiler)
+    run = _Run(cfg, table, emit, classifier, profiler, consumers=[profiler])
 
-    if types and dictionary is not None:
-        w.type_checker = TypeChecker(
-            dictionary,
-            parser=cfg.timestamp_parser(),
-            classifier=classifier,
-            emit=emit,
-            key_index=table.column_index(fm.key) if fm.key else None,
-        )
-        w.consumers.append(w.type_checker)
-
-    if temporal and fm.created and fm.closed:
-        wanted[fm.created] = "fields.created"
-        wanted[fm.closed] = "fields.closed"
-        if fm.updated:
-            wanted[fm.updated] = "fields.updated"
-        w.durations = DurationAuditor(
-            created_field=fm.created,
-            closed_field=fm.closed,
-            updated_field=fm.updated,
-            key_field=fm.key,
-            agency_field=fm.agency,
-            parser=cfg.timestamp_parser(),
-            rules=cfg.temporal,
-            classifier=classifier,
-            emit=emit,
-        )
-        w.consumers.append(w.durations)
-
-    if domain:
-        for field_name, ref_path in sorted(cfg.references.items()):
-            wanted[field_name] = "references"
-            checker = ReferenceChecker(
-                field_name,
-                load_reference(ref_path),
-                classifier=classifier,
-                key_field=fm.key,
-                agency_field=fm.agency,
-                emit=emit,
-            )
-            w.references[field_name] = checker
-            w.consumers.append(checker)
-
-        if cfg.geo_bounds is not None:
-            if not (fm.latitude and fm.longitude):
-                raise ConfigError(
-                    "geo bounds configured but fields.latitude/longitude are not mapped"
-                )
-            wanted[fm.latitude] = "fields.latitude"
-            wanted[fm.longitude] = "fields.longitude"
-            w.geo = GeoBoundsChecker(
-                fm.latitude,
-                fm.longitude,
-                cfg.geo_bounds,
-                classifier=classifier,
-                key_field=fm.key,
-                agency_field=fm.agency,
-                emit=emit,
-            )
-            w.consumers.append(w.geo)
-
-        for spec in cfg.unique:
-            wanted[spec.field] = "unique"
-            checker = UniqueChecker(
-                spec.field, required=spec.required, classifier=classifier, emit=emit,
-            )
-            w.uniques.append(checker)
-            w.consumers.append(checker)
-
-        if cfg.precision_fields:
-            for f in cfg.precision_fields:
-                wanted[f] = "precision.fields"
-            w.precision = PrecisionAuditor(
-                list(cfg.precision_fields), cfg.max_decimals,
-                classifier=classifier, emit=emit,
-            )
-            w.consumers.append(w.precision)
-
-    if redundancy:
-        if cfg.pairs:
-            street = cfg.street_normalizer()
-            specs = []
-            for p in cfg.pairs:
-                wanted[p.field_a] = "pairs"
-                wanted[p.field_b] = "pairs"
-                specs.append((p.field_a, p.field_b, street if p.normalizer == "street" else None))
-            w.pairs = PairCollector(specs, classifier=classifier, emit=emit)
-            w.consumers.append(w.pairs)
-        for c in cfg.concat:
-            wanted[c.target] = "concat"
-            wanted[c.source_a] = "concat"
-            wanted[c.source_b] = "concat"
-            checker = ConcatChecker(
-                c.target, c.source_a, c.source_b, c.template, classifier=classifier,
-            )
-            w.concats.append(checker)
-            w.consumers.append(checker)
-        for det, dep in cfg.fd:
-            wanted[det] = "fd"
-            wanted[dep] = "fd"
-            checker = FDChecker(det, dep, classifier=classifier)
-            w.fds.append(checker)
-            w.consumers.append(checker)
-
+    running = [stage(run) for stage in stages]
+    for stage in running:
+        next(stage, None)
     if fm.key:
-        wanted[fm.key] = "fields.key"
+        run.wanted[fm.key] = "fields.key"
     if fm.agency:
-        wanted[fm.agency] = "fields.agency"
-    _require_columns(table, wanted)
-    return w
+        run.wanted[fm.agency] = "fields.agency"
+    missing = {name: why for name, why in run.wanted.items() if table.column_index(name) is None}
+    if missing:
+        parts = ", ".join(f"{name!r} (from {why})" for name, why in sorted(missing.items()))
+        raise ConfigError(f"configured column(s) not in the header: {parts}")
+
+    stream = run.stream = stream_rows(table, run.consumers, emit=emit)
+    run.sections["stream"] = {
+        "rows": stream.row_count,
+        "delivered": stream.delivered,
+        "skipped_malformed": stream.skipped_malformed,
+        "skipped_ragged": stream.skipped_ragged,
+    }
+    for stage in running:
+        next(stage, None)
+
+    result = _conclude(
+        cfg, command, table, sink, run.sections, stream.delivered,
+        profiles=profiler.profiles, pair_stats=run.pair_stats, plan=run.plan,
+    )
+    if write:
+        report = result.report
+        files = run.files
+        if "json" in cfg.formats:
+            files.append(("report_json", REPORT_JSON, lambda p: render_json(report, p)))
+        if "markdown" in cfg.formats:
+            files.append(("report_md", REPORT_MD, lambda p: render_markdown_file(report, p)))
+        if "csv" in cfg.formats:
+            files.append(("profiles_csv", PROFILES_CSV, lambda p: render_profiles_csv(result.profiles, p)))
+            pair_dicts = run.sections.get("redundancy", {}).get("pairs")
+            if pair_dicts:
+                files.append(("pairs_csv", PAIRS_CSV, lambda p: render_pairs_csv(pair_dicts, p)))
+        _write_outputs(cfg, result, files)
+    return result
 
 
-def _concentration_section(cfg: AuditConfig, profiles) -> list[dict]:
+# Stages. Each is a generator over the shared _Run: the code before its
+# yield wires consumers, the code after it reads their results.
+
+def _profiles(run: _Run):
+    """Column profiles and their missingness tiers."""
+    yield
+    profiles = run.profiler.profiles
+    run.sections["profiles"] = [p.as_dict() for p in profiles]
+    run.sections["tiers"] = [
+        {"field": r.field, "blank_pct": r.blank_pct, "tier": r.tier}
+        for r in tier_table(profiles)
+    ]
+
+
+def _concentration(run: _Run):
+    """Top-k share of the configured fields' values."""
+    yield
+    cfg = run.cfg
+    if not cfg.concentration:
+        return
     out = []
-    by_field = {p.field: p for p in profiles}
+    by_field = {p.field: p for p in run.profiler.profiles}
     for field_name in sorted(cfg.concentration):
         k = cfg.concentration[field_name]
         prof = by_field.get(field_name)
@@ -303,76 +260,33 @@ def _concentration_section(cfg: AuditConfig, profiles) -> list[dict]:
             "cumulative": [round(c, 6) for c in res.cumulative],
             "approximate": False,
         })
-    return out
+    run.sections["concentration"] = out
 
 
-def _domain_section(w: _Wiring) -> dict:
-    section: dict = {}
-    refs = []
-    for field_name in sorted(w.references):
-        res = w.references[field_name].result
-        refs.append({
-            "field": res.field,
-            "checked": res.checked,
-            "invalid": res.invalid,
-            "invalid_rate": res.invalid_rate,
-            "top_invalid": [[v, n] for v, n in res.top_invalid()],
-            "by_agency_invalid": dict(sorted(res.by_agency_invalid.items())),
-        })
-    if refs:
-        section["references"] = refs
-    if w.geo is not None:
-        g = w.geo.result
-        section["geo"] = {
-            "pairs_checked": g.pairs_checked,
-            "out_of_bounds": g.out_of_bounds,
-            "unparsed": g.unparsed,
-        }
-    uniques = []
-    for checker in w.uniques:
-        res = checker.result
-        uniques.append({
-            "field": res.field,
-            "total_present": res.total_present,
-            "missing": res.missing,
-            "duplicate_values": res.duplicate_values,
-            "duplicate_rows": res.duplicate_rows,
-        })
-    if uniques:
-        section["unique"] = uniques
-    if w.precision is not None:
-        section["precision"] = [
-            {
-                "field": res.field,
-                "max_decimals": w.precision.max_decimals,
-                "flagged": res.flagged,
-                "non_decimal": res.non_decimal,
-                "max_decimals_seen": res.max_decimals_seen,
-                "histogram": {str(k): v for k, v in sorted(res.histogram.items())},
-            }
-            for res in (w.precision.results[f] for f in w.precision.fields)
-        ]
-    return section
-
-
-def _redundancy_section(w: _Wiring, cfg: AuditConfig) -> dict:
-    section: dict = {}
-    if w.pairs is not None:
-        pairs = []
-        for stats in w.pairs.stats:
-            d = stats.as_dict()
-            d["verdict"] = stats.verdict(cfg.near_duplicate_threshold)
-            pairs.append(d)
-        section["pairs"] = pairs
-    if w.concats:
-        section["concat"] = [c.stats.as_dict() for c in w.concats]
-    if w.fds:
-        section["fd"] = [c.result.as_dict() for c in w.fds]
-    return section
-
-
-def _dictionary_section(field_drift, domain_drift, type_checker: TypeChecker | None) -> dict:
-    section = {
+def _dictionary(run: _Run):
+    """Type checks while streaming, then field and domain drift."""
+    cfg = run.cfg
+    if cfg.dictionary_path is None:
+        return
+    dictionary = load_dictionary(cfg.dictionary_path)
+    key = cfg.field_map.key
+    types = run.add(TypeChecker(
+        dictionary,
+        parser=cfg.timestamp_parser(),
+        classifier=run.classifier,
+        emit=run.emit,
+        key_index=run.table.column_index(key) if key else None,
+    ))
+    yield
+    field_drift = detect_undocumented(run.table, dictionary)
+    domain_drift = check_domains(
+        run.profiler.profiles, dictionary,
+        references=_load_domain_references(dictionary, run.emit),
+        case_fold=cfg.case_fold_domains,
+    )
+    for f in drift_findings(field_drift, domain_drift):
+        run.emit(f)
+    run.sections["dictionary"] = {
         "undocumented_fields": sorted(field_drift.undocumented),
         "experimental_fields": sorted(field_drift.experimental),
         "unobserved_fields": sorted(field_drift.unobserved),
@@ -383,302 +297,266 @@ def _dictionary_section(field_drift, domain_drift, type_checker: TypeChecker | N
             f: list(v) for f, v in sorted(domain_drift.unobserved_declared.items())
         },
         "skipped_approximate": sorted(domain_drift.skipped_approximate),
+        "type_checked": dict(sorted(types.report.checked.items())),
+        "type_violations": dict(sorted(types.report.violations.items())),
     }
-    if type_checker is not None:
-        section["type_checked"] = dict(sorted(type_checker.report.checked.items()))
-        section["type_violations"] = dict(sorted(type_checker.report.violations.items()))
-    return section
 
 
-def _assemble(
-    cfg: AuditConfig,
-    table: RawTable,
-    sink: FindingSink,
-    sections: dict,
-    command: str,
-    delivered: int,
-) -> AuditReport:
-    return AuditReport.build(
-        dataset_path=str(table.path),
-        dataset_sha256=file_sha256(table.path),
-        byte_size=table.byte_size,
-        row_count=table.row_count or 0,
-        delivered_rows=delivered,
-        headers=list(table.headers),
-        config_digest=cfg.digest(),
-        command=command,
-        severity_threshold=cfg.severity_threshold,
-        sink=sink,
-        sections=sections,
-    )
-
-
-def _write_outputs(cfg: AuditConfig, result: RunResult, pair_dicts: list[dict]) -> None:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if "json" in cfg.formats:
-        path = out / REPORT_JSON
-        render_json(result.report, path)
-        result.output_paths["report_json"] = path
-    if "markdown" in cfg.formats:
-        path = out / REPORT_MD
-        render_markdown_file(result.report, path)
-        result.output_paths["report_md"] = path
-    if "csv" in cfg.formats:
-        path = out / PROFILES_CSV
-        render_profiles_csv(result.profiles, path)
-        result.output_paths["profiles_csv"] = path
-        if pair_dicts:
-            path = out / PAIRS_CSV
-            render_pairs_csv(pair_dicts, path)
-            result.output_paths["pairs_csv"] = path
-
-
-def run_audit(cfg: AuditConfig, *, command: str = "audit", write: bool = True) -> RunResult:
-    """Full audit: profile, dictionary, temporal, domain, redundancy."""
-    _require_input(cfg)
-    sink = FindingSink(cfg.sample_cap)
-    emit = _make_emit(sink, cfg)
-
-    dictionary = load_dictionary(cfg.dictionary_path) if cfg.dictionary_path else None
-
-    table = open_table(cfg.input_path)
-    for f in table.header_findings:
-        emit(f)
-
-    w = _wire(cfg, table, dictionary, emit)
-    stream = stream_rows(table, w.consumers, emit=emit)
-    profiles = w.profiler.profiles
-
-    sections: dict = {
-        "stream": {
-            "rows": stream.row_count,
-            "delivered": stream.delivered,
-            "skipped_malformed": stream.skipped_malformed,
-            "skipped_ragged": stream.skipped_ragged,
-        },
-        "profiles": [p.as_dict() for p in profiles],
-        "tiers": [
-            {"field": r.field, "blank_pct": r.blank_pct, "tier": r.tier}
-            for r in tier_table(profiles)
-        ],
-    }
-    if cfg.concentration:
-        sections["concentration"] = _concentration_section(cfg, profiles)
-
-    if dictionary is not None:
-        field_drift = detect_undocumented(table, dictionary)
-        domain_refs = _load_domain_references(dictionary, emit)
-        domain_drift = check_domains(
-            profiles, dictionary, references=domain_refs, case_fold=cfg.case_fold_domains,
-        )
-        for f in drift_findings(field_drift, domain_drift):
-            emit(f)
-        sections["dictionary"] = _dictionary_section(field_drift, domain_drift, w.type_checker)
-
-    if w.durations is not None:
-        sections["temporal"] = w.durations.summary.as_dict()
-
-    domain_sec = _domain_section(w)
-    if domain_sec:
-        sections["domain"] = domain_sec
-    redundancy_sec = _redundancy_section(w, cfg)
-    if redundancy_sec:
-        sections["redundancy"] = redundancy_sec
-
-    report = _assemble(cfg, table, sink, sections, command, stream.delivered)
-    status = EXIT_FINDINGS if sink.count_at_or_above(cfg.severity_threshold) else EXIT_CLEAN
-    result = RunResult(
-        report=report, sink=sink, exit_status=status,
-        profiles=profiles, pair_stats=list(w.pairs.stats) if w.pairs else [],
-    )
-    if write:
-        pair_dicts = redundancy_sec.get("pairs", []) if redundancy_sec else []
-        _write_outputs(cfg, result, pair_dicts)
-    return result
-
-
-def run_profile(cfg: AuditConfig, *, command: str = "profile", write: bool = True) -> RunResult:
-    """Profile-only pass: missingness, distincts, tiers, concentration."""
-    _require_input(cfg)
-    sink = FindingSink(cfg.sample_cap)
-    emit = _make_emit(sink, cfg)
-    table = open_table(cfg.input_path)
-    for f in table.header_findings:
-        emit(f)
-    w = _wire(cfg, table, None, emit, temporal=False, domain=False, redundancy=False, types=False)
-    stream = stream_rows(table, w.consumers, emit=emit)
-    profiles = w.profiler.profiles
-    sections = {
-        "stream": {
-            "rows": stream.row_count,
-            "delivered": stream.delivered,
-            "skipped_malformed": stream.skipped_malformed,
-            "skipped_ragged": stream.skipped_ragged,
-        },
-        "profiles": [p.as_dict() for p in profiles],
-        "tiers": [
-            {"field": r.field, "blank_pct": r.blank_pct, "tier": r.tier}
-            for r in tier_table(profiles)
-        ],
-    }
-    if cfg.concentration:
-        sections["concentration"] = _concentration_section(cfg, profiles)
-    report = _assemble(cfg, table, sink, sections, command, stream.delivered)
-    status = EXIT_FINDINGS if sink.count_at_or_above(cfg.severity_threshold) else EXIT_CLEAN
-    result = RunResult(report=report, sink=sink, exit_status=status, profiles=profiles)
-    if write:
-        _write_outputs(cfg, result, [])
-    return result
-
-
-def run_dict_check(cfg: AuditConfig, *, command: str = "dict-check", write: bool = True) -> RunResult:
-    """Dictionary conformance: types, field drift, domain drift."""
-    _require_input(cfg)
-    if cfg.dictionary_path is None:
+def _required_dictionary(run: _Run):
+    if run.cfg.dictionary_path is None:
         raise ConfigError("dict-check needs a `dictionary` path in the config")
-    dictionary = load_dictionary(cfg.dictionary_path)
-    sink = FindingSink(cfg.sample_cap)
-    emit = _make_emit(sink, cfg)
-    table = open_table(cfg.input_path)
-    for f in table.header_findings:
-        emit(f)
-    w = _wire(cfg, table, dictionary, emit, temporal=False, domain=False, redundancy=False)
-    stream = stream_rows(table, w.consumers, emit=emit)
-    profiles = w.profiler.profiles
-
-    field_drift = detect_undocumented(table, dictionary)
-    domain_refs = _load_domain_references(dictionary, emit)
-    domain_drift = check_domains(
-        profiles, dictionary, references=domain_refs, case_fold=cfg.case_fold_domains,
-    )
-    for f in drift_findings(field_drift, domain_drift):
-        emit(f)
-    sections = {
-        "stream": {
-            "rows": stream.row_count,
-            "delivered": stream.delivered,
-            "skipped_malformed": stream.skipped_malformed,
-            "skipped_ragged": stream.skipped_ragged,
-        },
-        "dictionary": _dictionary_section(field_drift, domain_drift, w.type_checker),
-    }
-    report = _assemble(cfg, table, sink, sections, command, stream.delivered)
-    status = EXIT_FINDINGS if sink.count_at_or_above(cfg.severity_threshold) else EXIT_CLEAN
-    result = RunResult(report=report, sink=sink, exit_status=status, profiles=profiles)
-    if write:
-        _write_outputs(cfg, result, [])
-    return result
+    yield from _dictionary(run)
 
 
-def run_reduce_plan(cfg: AuditConfig, *, command: str = "reduce-plan", write: bool = True) -> RunResult:
-    """Profile plus redundancy evidence, folded into a reduction plan."""
-    _require_input(cfg)
-    sink = FindingSink(cfg.sample_cap)
-    emit = _make_emit(sink, cfg)
-    table = open_table(cfg.input_path)
-    for f in table.header_findings:
-        emit(f)
-    w = _wire(cfg, table, None, emit, temporal=False, domain=False, types=False)
-    stream = stream_rows(table, w.consumers, emit=emit)
-    profiles = w.profiler.profiles
+def _load_domain_references(dictionary: DataDictionary, emit) -> dict[str, frozenset[str]]:
+    """Load domain_ref files named by the dictionary, relative to it.
 
-    pair_stats = list(w.pairs.stats) if w.pairs else []
-    concat_stats = [c.stats for c in w.concats]
-    plan = build_plan(
-        profiles,
-        pair_stats,
-        cfg.plan,
+    An unreadable reference file degrades to a finding and skips that
+    one field's domain check; the rest of the audit proceeds.
+    """
+    refs: dict[str, frozenset[str]] = {}
+    if dictionary.source_path is None:
+        return refs
+    base = Path(dictionary.source_path).parent
+    for desc in dictionary.fields:
+        if desc.domain_ref is None:
+            continue
+        path = Path(desc.domain_ref)
+        if not path.is_absolute():
+            path = base / path
+        try:
+            refs[desc.name] = load_reference(path)
+        except ConfigError as exc:
+            emit(make_finding(
+                "reference_unreadable",
+                f"domain reference for {desc.name!r} could not be loaded: {exc}",
+                fields=(desc.name,),
+            ))
+    return refs
+
+
+def _temporal(run: _Run):
+    """Durations, spikes, midnight and post-close checks."""
+    cfg = run.cfg
+    fm = cfg.field_map
+    if not (fm.created and fm.closed):
+        return
+    run.need("fields.created", fm.created)
+    run.need("fields.closed", fm.closed)
+    if fm.updated:
+        run.need("fields.updated", fm.updated)
+    durations = run.add(DurationAuditor(
+        created_field=fm.created,
+        closed_field=fm.closed,
+        updated_field=fm.updated,
+        key_field=fm.key,
+        agency_field=fm.agency,
+        parser=cfg.timestamp_parser(),
+        rules=cfg.temporal,
+        classifier=run.classifier,
+        emit=run.emit,
+    ))
+    yield
+    run.sections["temporal"] = durations.summary.as_dict()
+
+
+def _domain(run: _Run):
+    """Reference sets, the geo box, unique keys and decimal precision."""
+    cfg = run.cfg
+    fm = cfg.field_map
+    classifier, emit = run.classifier, run.emit
+    references = []
+    for field_name, ref_path in sorted(cfg.references.items()):
+        run.need("references", field_name)
+        references.append(run.add(ReferenceChecker(
+            field_name,
+            load_reference(ref_path),
+            classifier=classifier,
+            key_field=fm.key,
+            agency_field=fm.agency,
+            emit=emit,
+        )))
+    geo = None
+    if cfg.geo_bounds is not None:
+        if not (fm.latitude and fm.longitude):
+            raise ConfigError("geo bounds configured but fields.latitude/longitude are not mapped")
+        run.need("fields.latitude", fm.latitude)
+        run.need("fields.longitude", fm.longitude)
+        geo = run.add(GeoBoundsChecker(
+            fm.latitude,
+            fm.longitude,
+            cfg.geo_bounds,
+            classifier=classifier,
+            key_field=fm.key,
+            agency_field=fm.agency,
+            emit=emit,
+        ))
+    uniques = []
+    for spec in cfg.unique:
+        run.need("unique", spec.field)
+        uniques.append(run.add(UniqueChecker(
+            spec.field, required=spec.required, classifier=classifier, emit=emit,
+        )))
+    precision = None
+    if cfg.precision_fields:
+        run.need("precision.fields", *cfg.precision_fields)
+        precision = run.add(PrecisionAuditor(
+            list(cfg.precision_fields), cfg.max_decimals, classifier=classifier, emit=emit,
+        ))
+    yield
+    section: dict = {}
+    if references:
+        section["references"] = [
+            {
+                "field": res.field,
+                "checked": res.checked,
+                "invalid": res.invalid,
+                "invalid_rate": res.invalid_rate,
+                "top_invalid": [[v, n] for v, n in res.top_invalid()],
+                "by_agency_invalid": dict(sorted(res.by_agency_invalid.items())),
+            }
+            for res in (checker.result for checker in references)
+        ]
+    if geo is not None:
+        g = geo.result
+        section["geo"] = {
+            "pairs_checked": g.pairs_checked,
+            "out_of_bounds": g.out_of_bounds,
+            "unparsed": g.unparsed,
+        }
+    if uniques:
+        section["unique"] = [
+            {
+                "field": res.field,
+                "total_present": res.total_present,
+                "missing": res.missing,
+                "duplicate_values": res.duplicate_values,
+                "duplicate_rows": res.duplicate_rows,
+            }
+            for res in (checker.result for checker in uniques)
+        ]
+    if precision is not None:
+        section["precision"] = [
+            {
+                "field": res.field,
+                "max_decimals": precision.max_decimals,
+                "flagged": res.flagged,
+                "non_decimal": res.non_decimal,
+                "max_decimals_seen": res.max_decimals_seen,
+                "histogram": {str(k): v for k, v in sorted(res.histogram.items())},
+            }
+            for res in (precision.results[f] for f in precision.fields)
+        ]
+    if section:
+        run.sections["domain"] = section
+
+
+def _redundancy(run: _Run):
+    """Column pair matches, concatenation templates and dependencies."""
+    cfg = run.cfg
+    classifier = run.classifier
+    pairs = None
+    if cfg.pairs:
+        street = cfg.street_normalizer()
+        specs = []
+        for p in cfg.pairs:
+            run.need("pairs", p.field_a, p.field_b)
+            specs.append((p.field_a, p.field_b, street if p.normalizer == "street" else None))
+        pairs = run.add(PairCollector(specs, classifier=classifier, emit=run.emit))
+    concats = []
+    for c in cfg.concat:
+        run.need("concat", c.target, c.source_a, c.source_b)
+        concats.append(run.add(ConcatChecker(
+            c.target, c.source_a, c.source_b, c.template, classifier=classifier,
+        )))
+    fds = []
+    for det, dep in cfg.fd:
+        run.need("fd", det, dep)
+        fds.append(run.add(FDChecker(det, dep, classifier=classifier)))
+    yield
+    section: dict = {}
+    if pairs is not None:
+        run.pair_stats = list(pairs.stats)
+        section["pairs"] = [
+            dict(stats.as_dict(), verdict=stats.verdict(cfg.near_duplicate_threshold))
+            for stats in pairs.stats
+        ]
+    run.concat_stats = [c.stats for c in concats]
+    if concats:
+        section["concat"] = [stats.as_dict() for stats in run.concat_stats]
+    if fds:
+        section["fd"] = [c.result.as_dict() for c in fds]
+    if section:
+        run.sections["redundancy"] = section
+
+
+def _plan(run: _Run):
+    """Fold the profiles and the redundancy evidence into a reduction plan."""
+    yield
+    table = run.table
+    run.plan = build_plan(
+        run.profiler.profiles,
+        run.pair_stats,
+        run.cfg.plan,
         baseline_bytes=table.byte_size,
-        row_count=stream.delivered,
-        key_field=cfg.field_map.key,
-        concat_stats=concat_stats,
+        row_count=run.stream.delivered,
+        key_field=run.cfg.field_map.key,
+        concat_stats=run.concat_stats,
         raw_headers=table.raw_headers,
-        emit=emit,
+        emit=run.emit,
     )
+    run.sections["plan"] = run.plan.as_dict()
+    run.files.append(("plan_json", PLAN_JSON, run.plan.write_json))
 
-    sections: dict = {
-        "stream": {
-            "rows": stream.row_count,
-            "delivered": stream.delivered,
-            "skipped_malformed": stream.skipped_malformed,
-            "skipped_ragged": stream.skipped_ragged,
-        },
-        "profiles": [p.as_dict() for p in profiles],
-        "tiers": [
-            {"field": r.field, "blank_pct": r.blank_pct, "tier": r.tier}
-            for r in tier_table(profiles)
-        ],
-        "plan": plan.as_dict(),
-    }
-    redundancy_sec = _redundancy_section(w, cfg)
-    if redundancy_sec:
-        sections["redundancy"] = redundancy_sec
 
-    report = _assemble(cfg, table, sink, sections, command, stream.delivered)
-    status = EXIT_FINDINGS if sink.count_at_or_above(cfg.severity_threshold) else EXIT_CLEAN
-    result = RunResult(
-        report=report, sink=sink, exit_status=status,
-        profiles=profiles, pair_stats=pair_stats, plan=plan,
-    )
-    if write:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        plan_path = out / PLAN_JSON
-        plan.write_json(plan_path)
-        result.output_paths["plan_json"] = plan_path
-        pair_dicts = redundancy_sec.get("pairs", []) if redundancy_sec else []
-        _write_outputs(cfg, result, pair_dicts)
-    return result
+def run_audit(cfg: AuditConfig, *, write: bool = True) -> RunResult:
+    """Full audit: profile, dictionary, temporal, domain, redundancy."""
+    return _run(cfg, "audit", (
+        _profiles, _concentration, _dictionary, _temporal, _domain, _redundancy,
+    ), write)
+
+
+def run_profile(cfg: AuditConfig, *, write: bool = True) -> RunResult:
+    """Profile-only pass: missingness, distincts, tiers, concentration."""
+    return _run(cfg, "profile", (_profiles, _concentration), write)
+
+
+def run_dict_check(cfg: AuditConfig, *, write: bool = True) -> RunResult:
+    """Dictionary conformance: types, field drift, domain drift."""
+    return _run(cfg, "dict-check", (_required_dictionary,), write)
+
+
+def run_reduce_plan(cfg: AuditConfig, *, write: bool = True) -> RunResult:
+    """Profile plus redundancy evidence, folded into a reduction plan."""
+    return _run(cfg, "reduce-plan", (_profiles, _redundancy, _plan), write)
 
 
 def run_reduce_apply(
-    cfg: AuditConfig,
-    plan_path: str | Path | None = None,
-    *,
-    command: str = "reduce-apply",
-    write: bool = True,
+    cfg: AuditConfig, plan_path: str | Path | None = None, *, write: bool = True,
 ) -> RunResult:
     """Execute a previously written plan against the input file."""
     _require_input(cfg)
-    if plan_path is None:
-        plan_path = Path(cfg.out_dir) / PLAN_JSON
-    plan_path = Path(plan_path)
+    plan_path = Path(cfg.out_dir) / PLAN_JSON if plan_path is None else Path(plan_path)
     if not plan_path.is_file():
         raise PlanError(f"plan file not found: {plan_path} (run reduce-plan first)")
     plan = ReductionPlan.read_json(plan_path)
 
-    sink = FindingSink(cfg.sample_cap)
-    emit = _make_emit(sink, cfg)
-    table = open_table(cfg.input_path)
-    for f in table.header_findings:
-        emit(f)
-
-    out = Path(cfg.out_dir)
+    sink, _emit, table = _open(cfg)
     applied = apply_plan(
-        table, plan, out,
+        table, plan, Path(cfg.out_dir),
         key_field=cfg.field_map.key,
         classifier=cfg.classifier(),
     )
-
-    sections = {
-        "plan": plan.as_dict(),
-        "apply": applied.as_dict(),
-    }
-    report = _assemble(cfg, table, sink, sections, command, applied.rows_written)
-    status = EXIT_FINDINGS if sink.count_at_or_above(cfg.severity_threshold) else EXIT_CLEAN
-    result = RunResult(
-        report=report, sink=sink, exit_status=status, plan=plan, apply_result=applied,
+    sections = {"plan": plan.as_dict(), "apply": applied.as_dict()}
+    result = _conclude(
+        cfg, "reduce-apply", table, sink, sections, applied.rows_written,
+        plan=plan, apply_result=applied,
     )
     if write:
-        out.mkdir(parents=True, exist_ok=True)
-        apply_path = out / APPLY_JSON
-        apply_path.write_text(
+        files = [("apply_json", APPLY_JSON, lambda p: p.write_text(
             json.dumps(applied.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8",
-        )
-        result.output_paths["apply_json"] = apply_path
+        ))]
         if "json" in cfg.formats:
-            path = out / REPORT_JSON
-            render_json(result.report, path)
-            result.output_paths["report_json"] = path
+            files.append(("report_json", REPORT_JSON, lambda p: render_json(result.report, p)))
+        _write_outputs(cfg, result, files)
     return result

@@ -17,7 +17,7 @@ import json
 import logging
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import PlanError
 from .findings import Measurement, make_finding
@@ -80,41 +80,6 @@ class ValueDictionary:
                     raise PlanError(f"{path}: malformed entry at position {i}")
                 entries.append(row[1])
         return cls(field, tuple(entries))
-
-
-def encode_column(
-    values: Iterable[str],
-    *,
-    field: str = "value",
-    cap: int = DEFAULT_ENCODE_CAP,
-    classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-) -> tuple[ValueDictionary, list[str]]:
-    """Dictionary-encode a materialized column.
-
-    Present values map to zero-padded decimal codes in first-appearance
-    order; missing values encode as empty cells. Exceeding the cap raises
-    EncodeCapExceeded so callers can leave the column as text.
-    """
-    mapping: dict[str, int] = {}
-    out: list[str] = []
-    kind_of = classifier.kind_of
-    raw_codes: list[int | None] = []
-    for v in values:
-        if not v or kind_of(v) is not None:
-            raw_codes.append(None)
-            continue
-        code = mapping.get(v)
-        if code is None:
-            code = len(mapping)
-            if code >= cap:
-                raise EncodeCapExceeded(f"{field!r}: more than {cap} distinct values")
-            mapping[v] = code
-        raw_codes.append(code)
-    vd = ValueDictionary(field, tuple(mapping))
-    width = vd.code_width
-    for code in raw_codes:
-        out.append("" if code is None else str(code).zfill(width))
-    return vd, out
 
 
 ACTION_KINDS = ("drop", "segregate", "encode")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import ConfigError
 from .findings import Measurement, make_finding
@@ -161,23 +161,6 @@ class PairCollector(RowConsumer):
         return out
 
 
-def pair_match(
-    values_a: Iterable[str],
-    values_b: Iterable[str],
-    *,
-    field_a: str = "a",
-    field_b: str = "b",
-    normalizer: Callable[[str], str] | None = None,
-    classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-) -> PairMatchStats:
-    """Match statistics for two materialized, aligned value sequences."""
-    collector = PairCollector([(field_a, field_b, normalizer)], classifier=classifier)
-    collector._cols = [[field_a, field_b, 0, 1, normalizer, [0, 0, 0, 0, 0, 0]]]
-    for ordinal, (va, vb) in enumerate(zip(values_a, values_b), start=1):
-        collector.consume(ordinal, [va, vb])
-    return collector.finish()[0]
-
-
 _PLACEHOLDER_RE = re.compile(r"\{[ab]\}")
 
 
@@ -259,22 +242,6 @@ class ConcatChecker(RowConsumer):
         return self.stats
 
 
-def detect_concatenation(
-    target_values: Iterable[str],
-    values_a: Iterable[str],
-    values_b: Iterable[str],
-    template: str = "({a}, {b})",
-    *,
-    classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-) -> ConcatStats:
-    """Materialized-sequence variant of ConcatChecker."""
-    checker = ConcatChecker("target", "a", "b", template, classifier=classifier)
-    checker._it, checker._ia, checker._ib = 0, 1, 2
-    for ordinal, (vt, va, vb) in enumerate(zip(target_values, values_a, values_b), start=1):
-        checker.consume(ordinal, [vt, va, vb])
-    return checker.finish()
-
-
 # street suffix abbreviations seen in the wild, expanded to full words
 DEFAULT_SUFFIXES: dict[str, str] = {
     "PL": "PLACE",
@@ -337,41 +304,6 @@ class StreetNormalizer:
 
 
 normalize_street = StreetNormalizer()
-
-
-@dataclass(frozen=True)
-class NormalizationGain:
-    field_a: str
-    field_b: str
-    both_present: int
-    raw_rate: float | None
-    normalized_rate: float | None
-
-    @property
-    def gain(self) -> float | None:
-        if self.raw_rate is None or self.normalized_rate is None:
-            return None
-        return self.normalized_rate - self.raw_rate
-
-
-def measure_normalization_gain(
-    values_a: Iterable[str],
-    values_b: Iterable[str],
-    normalizer: Callable[[str], str] = normalize_street,
-    *,
-    field_a: str = "a",
-    field_b: str = "b",
-    classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-) -> NormalizationGain:
-    """How much closer normalization brings two street columns."""
-    stats = pair_match(
-        values_a, values_b,
-        field_a=field_a, field_b=field_b,
-        normalizer=normalizer, classifier=classifier,
-    )
-    return NormalizationGain(
-        field_a, field_b, stats.both_present, stats.rate_both_present, stats.normalized_rate,
-    )
 
 
 @dataclass
@@ -441,19 +373,3 @@ class FDChecker(RowConsumer):
     def finish(self) -> FDResult:
         self.result.mapping_size = len(self._mapping)
         return self.result
-
-
-def functional_dependency(
-    values_a: Iterable[str],
-    values_b: Iterable[str],
-    *,
-    determinant: str = "a",
-    dependent: str = "b",
-    classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-) -> FDResult:
-    """Materialized-sequence variant of FDChecker."""
-    checker = FDChecker(determinant, dependent, classifier=classifier)
-    checker._ia, checker._ib = 0, 1
-    for ordinal, (va, vb) in enumerate(zip(values_a, values_b), start=1):
-        checker.consume(ordinal, [va, vb])
-    return checker.finish()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .findings import Finding, FindingSink, Severity
-from .profiling import ColumnProfile, TierRow
+from .profiling import ColumnProfile
 
 log = logging.getLogger(__name__)
 
@@ -291,9 +291,6 @@ def render_markdown(report: AuditReport) -> str:
             state = "holds" if f["holds"] else f"violated {f['violations']:,} times"
             w(f"- `{f['determinant']}` determines `{f['dependent']}`: {state} "
               f"({f['mapping_size']:,} mappings)\n")
-        for g in redundancy.get("normalization_gain", []):
-            w(f"- Street normalization `{g['field_a']}` vs `{g['field_b']}`: "
-              f"{_fmt_rate(g['raw_rate'])} raw, {_fmt_rate(g['normalized_rate'])} normalized\n")
         w("\n")
 
     plan = sections.get("plan")
@@ -356,10 +353,3 @@ def render_pairs_csv(pair_dicts: list[dict], path: str | Path) -> None:
         ]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-@dataclass
-class TierSection:
-    rows: list[TierRow]
-
-    def as_list(self) -> list[dict]:
-        return [{"field": r.field, "blank_pct": r.blank_pct, "tier": r.tier} for r in self.rows]

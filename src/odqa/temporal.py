@@ -16,7 +16,7 @@ import datetime as dt
 import logging
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .findings import Measurement, make_finding
 from .ingest import DEFAULT_CLASSIFIER, MissingClassifier, RawTable, RowConsumer
@@ -88,45 +88,6 @@ def evaluate_hour_histogram(counts: Sequence[int], sigma_multiplier: float = DEF
     return SpikeStats(tuple(counts), mean, sigma, threshold, flagged)
 
 
-@dataclass
-class SpikeResult:
-    field: str
-    stats: SpikeStats | None
-    parsed_count: int
-    findings: list = dc_field(default_factory=list)
-
-
-def detect_hour_spikes(
-    timestamps: Iterable[LocalTimestamp],
-    rules: TemporalRules = TemporalRules(),
-    field: str = "timestamp",
-) -> SpikeResult:
-    """Spike detection over already-parsed timestamps.
-
-    Only readings exactly on the hour (minute and second zero) enter the
-    histogram; the sample-size precondition counts every parsed reading.
-    Hour zero reports as midnight_batch_suspect, other hours as
-    hour_spike.
-    """
-    hist = [0] * 24
-    parsed = 0
-    for ts in timestamps:
-        parsed += 1
-        if ts.seconds_of_day % 3600 == 0:
-            hist[ts.hour] += 1
-    if parsed < MIN_SPIKE_SAMPLE:
-        finding = make_finding(
-            "insufficient_data",
-            f"{field!r}: {parsed} parsed timestamp(s); spike statistics need at least {MIN_SPIKE_SAMPLE}",
-            fields=(field,),
-            measured=Measurement(parsed, "timestamps"),
-        )
-        return SpikeResult(field, None, parsed, [finding])
-    stats = evaluate_hour_histogram(hist, rules.sigma_multiplier)
-    findings = [_spike_finding(field, stats, hour) for hour in stats.flagged]
-    return SpikeResult(field, stats, parsed, findings)
-
-
 def _spike_finding(field: str, stats: SpikeStats, hour: int):
     rule = "midnight_batch_suspect" if hour == 0 else "hour_spike"
     return make_finding(
@@ -138,153 +99,10 @@ def _spike_finding(field: str, stats: SpikeStats, hour: int):
     )
 
 
-@dataclass(frozen=True)
-class DurationRecord:
-    ordinal: int
-    seconds: int | None
-    negative: bool
-    zero: bool
-    extreme: bool
-    dst_explainable: bool
-    sentinel: bool
-
-
-def compute_durations(
-    created_values: Iterable[str],
-    closed_values: Iterable[str],
-    parser: TimestampParser,
-    rules: TemporalRules = TemporalRules(),
-    classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-) -> tuple[list[DurationRecord], list]:
-    """Materialized-pair variant of the streaming duration audit.
-
-    Returns one record per row where both sides were present and
-    syntactically parseable, plus the findings the pair produced. Used by
-    unit-scale analysis; the full pipeline uses DurationAuditor.
-    """
-    findings: list = []
-    records: list[DurationRecord] = []
-    state = _PairState(parser, rules, classifier)
-    for ordinal, (raw_c, raw_z) in enumerate(zip(created_values, closed_values), start=1):
-        rec = state.evaluate(ordinal, raw_c, raw_z, findings.append)
-        if rec is not None:
-            records.append(rec)
-    return records, findings
-
-
-class _PairState:
-    """Shared created/closed evaluation used by both duration entry points."""
-
-    __slots__ = ("parser", "rules", "classifier")
-
-    def __init__(self, parser, rules, classifier):
-        self.parser = parser
-        self.rules = rules
-        self.classifier = classifier
-
-    def evaluate(self, locator, raw_created, raw_closed, emit, agency=None) -> DurationRecord | None:
-        parse = self.parser
-        rules = self.rules
-        ts_c = ts_z = None
-        sentinel = False
-        for field, raw in (("created", raw_created), ("closed", raw_closed)):
-            if self.classifier.kind_of(raw) is not None:
-                continue
-            ts = parse(raw)
-            if ts is None:
-                emit(make_finding(
-                    "unparseable_timestamp",
-                    f"{field} value {raw!r} matched no configured format",
-                    fields=(field,),
-                    row_locator=locator,
-                    agency=agency,
-                ))
-                continue
-            if ts.zone_status is ZoneStatus.DST_GAP_INVALID:
-                emit(make_finding(
-                    "dst_gap_invalid",
-                    f"{field} reading {ts.isoformat()} falls in a spring-forward gap",
-                    fields=(field,),
-                    row_locator=locator,
-                    agency=agency,
-                ))
-            if ts.date in rules.sentinel_dates:
-                sentinel = True
-                emit(make_finding(
-                    "sentinel_date",
-                    f"{field} carries placeholder date {ts.date.isoformat()}",
-                    fields=(field,),
-                    row_locator=locator,
-                    agency=agency,
-                ))
-            if field == "created":
-                ts_c = ts
-            else:
-                ts_z = ts
-        if ts_c is None or ts_z is None:
-            return None
-        seconds, explainable = pair_duration(ts_c, ts_z)
-        if seconds is None:
-            return DurationRecord(locator, None, False, False, False, False, sentinel)
-        days = seconds / 86400.0
-        negative = seconds < 0
-        zero = seconds == 0
-        extreme = abs(seconds) > rules.extreme_cutoff_seconds
-        if negative:
-            note = " (sign explainable by a DST fold)" if explainable else ""
-            emit(make_finding(
-                "negative_duration",
-                f"closed precedes created by {-days:.2f} day(s){note}",
-                fields=("created", "closed"),
-                row_locator=locator,
-                measured=Measurement(round(days, 6), "days"),
-                agency=agency,
-            ))
-        elif zero:
-            emit(make_finding(
-                "zero_duration",
-                "created and closed are equal to the second",
-                fields=("created", "closed"),
-                row_locator=locator,
-                measured=Measurement(0.0, "days"),
-                agency=agency,
-            ))
-        if extreme:
-            emit(make_finding(
-                "extreme_duration",
-                f"absolute duration {abs(days):.1f} day(s) exceeds the "
-                f"{rules.extreme_cutoff_days}-day plausibility cutoff",
-                fields=("created", "closed"),
-                row_locator=locator,
-                measured=Measurement(round(days, 6), "days"),
-                agency=agency,
-            ))
-        return DurationRecord(locator, seconds, negative, zero, extreme, explainable, sentinel)
-
-
 @dataclass
 class MidnightSummary:
     count: int = 0
     by_agency: dict[str, int] = dc_field(default_factory=dict)
-
-
-def midnight_exact_count(
-    timestamps: Iterable[LocalTimestamp],
-    agencies: Iterable[str] | None = None,
-) -> MidnightSummary:
-    """Count readings at exactly 00:00:00, optionally attributed by agency."""
-    out = MidnightSummary()
-    if agencies is None:
-        for ts in timestamps:
-            if ts.seconds_of_day == 0:
-                out.count += 1
-        return out
-    for ts, agency in zip(timestamps, agencies):
-        if ts.seconds_of_day == 0:
-            out.count += 1
-            if agency:
-                out.by_agency[agency] = out.by_agency.get(agency, 0) + 1
-    return out
 
 
 @dataclass
@@ -293,77 +111,6 @@ class PostCloseResult:
     late_count: int = 0
     infeasible_count: int = 0
     pairs_checked: int = 0
-    findings: list = dc_field(default_factory=list)
-
-
-def detect_post_close_updates(
-    closed_values: Iterable[str],
-    updated_values: Iterable[str],
-    parser: TimestampParser,
-    rules: TemporalRules = TemporalRules(),
-    classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-) -> PostCloseResult:
-    """Audit update-after-close lags for materialized value pairs.
-
-    Lags beyond the post-close window produce findings; lags whose
-    magnitude exceeds the extreme cutoff are counted infeasible and kept
-    out of the histogram so one wild pair cannot distort the
-    distribution.
-    """
-    out = PostCloseResult()
-    state = _PostCloseState(parser, rules, classifier)
-    for ordinal, (raw_z, raw_u) in enumerate(zip(closed_values, updated_values), start=1):
-        state.evaluate(ordinal, raw_z, raw_u, out, None)
-    return out
-
-
-class _PostCloseState:
-    __slots__ = ("parser", "rules", "classifier")
-
-    def __init__(self, parser, rules, classifier):
-        self.parser = parser
-        self.rules = rules
-        self.classifier = classifier
-
-    def evaluate(self, locator, raw_closed, raw_updated, out: PostCloseResult, agency) -> None:
-        kind_of = self.classifier.kind_of
-        if kind_of(raw_closed) is not None or kind_of(raw_updated) is not None:
-            return
-        ts_z = self.parser(raw_closed)
-        ts_u = self.parser(raw_updated)
-        if ts_z is None or ts_u is None:
-            return
-        a = ts_z.earliest_utc
-        b = ts_u.earliest_utc
-        if a is None or b is None:
-            return
-        lag = b - a
-        out.pairs_checked += 1
-        rules = self.rules
-        if abs(lag) > rules.extreme_cutoff_seconds:
-            out.infeasible_count += 1
-            out.findings.append(make_finding(
-                "post_close_infeasible",
-                f"update lag {lag / 86400.0:.1f} day(s) exceeds the "
-                f"{rules.extreme_cutoff_days}-day cutoff; excluded from the distribution",
-                fields=("closed", "updated"),
-                row_locator=locator,
-                measured=Measurement(round(lag / 86400.0, 6), "days"),
-                agency=agency,
-            ))
-            return
-        out.lag_histogram_days[lag // 86400] = out.lag_histogram_days.get(lag // 86400, 0) + 1
-        if lag > rules.post_close_window_seconds:
-            out.late_count += 1
-            out.findings.append(make_finding(
-                "post_close_update",
-                f"record updated {lag / 86400.0:.1f} day(s) after close "
-                f"(window {rules.post_close_window_days} days)",
-                fields=("closed", "updated"),
-                row_locator=locator,
-                measured=Measurement(round(lag / 86400.0, 6), "days"),
-                agency=agency,
-            ))
 
 
 @dataclass

@@ -4,6 +4,24 @@ from pathlib import Path
 import pytest
 
 from odqa.generator import generate_fixture
+from odqa.ingest import RawTable
+
+
+def feed(consumer, columns: dict[str, list[str]]):
+    """Stream an in-memory table through a consumer, as stream_rows does.
+
+    columns maps each header to its cell values, all of one length. Calls
+    start, then consume once per row with the 1-based ordinal, then finish,
+    and returns what finish returns.
+    """
+    headers = list(columns)
+    table = RawTable(
+        path=Path("<memory>"), raw_headers=headers, headers=headers, byte_size=0, has_bom=False,
+    )
+    consumer.start(table)
+    for ordinal, row in enumerate(zip(*columns.values(), strict=True), start=1):
+        consumer.consume(ordinal, list(row))
+    return consumer.finish()
 
 
 @pytest.fixture(scope="session")

@@ -31,11 +31,11 @@ from odqa.domain_rules import decimal_digits
 from odqa.generator import generate_fixture
 from odqa.pipeline import run_audit, run_reduce_apply, run_reduce_plan
 from odqa.profiling import ProfileCollector
-from odqa.redundancy import ConcatChecker, StreetNormalizer, pair_match
+from odqa.redundancy import ConcatChecker, PairCollector, StreetNormalizer
 from odqa.temporal import evaluate_hour_histogram, pair_duration
 from odqa.timestamps import TimestampParser
 
-from conftest import AUDIT_CONFIG_TEMPLATE
+from conftest import AUDIT_CONFIG_TEMPLATE, feed
 
 NY = zoneinfo.ZoneInfo("America/New_York")
 UTC = dt.timezone.utc
@@ -169,14 +169,7 @@ def test_criterion_2_exemplar_unit_checks():
     assert decimal_digits("40.86769186022511") == 14
 
     observed = ["assigned", "closed", "pending", "in progress", "started", "unspecified"]
-    pc = ProfileCollector()
-    pc.start(type("T", (), {
-        "headers": ["status"], "raw_headers": ["status"], "width": 1,
-        "column_index": staticmethod(lambda n: 0 if n == "status" else None),
-    })())
-    for i, v in enumerate(observed, start=1):
-        pc.consume(i, [v])
-    profiles = pc.finish()
+    profiles = feed(ProfileCollector(), {"status": observed})
     dictionary = DataDictionary([FieldDescriptor(
         "status", "categorical", domain=("assigned", "canceled", "closed", "pending"),
     )])
@@ -209,23 +202,16 @@ def test_criterion_4_redundancy_verdicts():
     rng = random.Random(20230813)
 
     values = [rng.choice(["BROOKLYN", "QUEENS", "MANHATTAN", "BRONX", ""]) for _ in range(500)]
-    stats = pair_match(values, list(values))
+    stats = feed(PairCollector([("borough", "park_borough", None)]),
+                 {"borough": values, "park_borough": list(values)})[0]
     assert stats.rate_both_present == 1.0
     assert stats.verdict() == "duplicate"
 
-    checker = ConcatChecker("location", "latitude", "longitude")
-    checker.start(type("T", (), {
-        "headers": ["latitude", "longitude", "location"],
-        "raw_headers": ["latitude", "longitude", "location"],
-        "width": 3,
-        "column_index": staticmethod(
-            lambda n: {"latitude": 0, "longitude": 1, "location": 2}.get(n)),
-    })())
-    for i in range(300):
-        a = f"40.{700000 + i}"
-        b = f"-73.{900000 + i}"
-        checker.consume(i + 1, [a, b, f"({a}, {b})"])
-    concat = checker.finish()
+    lat = [f"40.{700000 + i}" for i in range(300)]
+    lon = [f"-73.{900000 + i}" for i in range(300)]
+    concat = feed(ConcatChecker("location", "latitude", "longitude"), {
+        "latitude": lat, "longitude": lon, "location": [f"({a}, {b})" for a, b in zip(lat, lon)],
+    })
     assert concat.rows_considered == 300
     assert concat.rate == 1.0
 

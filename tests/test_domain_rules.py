@@ -12,27 +12,12 @@ from odqa.domain_rules import (
     PrecisionAuditor,
     ReferenceChecker,
     UniqueChecker,
-    audit_precision,
-    check_geo_bounds,
-    check_reference_membership,
-    check_unique,
     decimal_digits,
     load_reference,
 )
 from odqa.errors import ConfigError
 
-
-class MiniTable:
-    def __init__(self, headers):
-        self.headers = list(headers)
-        self.raw_headers = list(headers)
-        self.width = len(headers)
-
-    def column_index(self, name):
-        try:
-            return self.headers.index(name)
-        except ValueError:
-            return None
+from conftest import feed
 
 
 # ------------------------------------------------------------ reference sets
@@ -58,7 +43,9 @@ ZIPS = frozenset({"10001", "10002", "11201"})
 
 def test_membership_counts_and_findings():
     values = ["10001", "99999", "", "NA", "11201", "99999", "00000"]
-    res, findings = check_reference_membership(values, ZIPS, field="incident_zip")
+    findings = []
+    checker = ReferenceChecker("incident_zip", ZIPS, emit=findings.append)
+    res = feed(checker, {"incident_zip": values})
     assert res.checked == 5                     # blanks and sentinels skipped
     assert res.invalid == 3
     assert res.invalid_values == {"99999": 2, "00000": 1}
@@ -69,7 +56,7 @@ def test_membership_counts_and_findings():
 
 
 def test_membership_rate_undefined_when_nothing_checked():
-    res, _ = check_reference_membership(["", "NA"], ZIPS)
+    res = feed(ReferenceChecker("zip", ZIPS), {"zip": ["", "NA"]})
     assert res.invalid_rate is None
 
 
@@ -79,11 +66,11 @@ def test_reference_checker_streaming_with_key_and_agency():
         "incident_zip", ZIPS, key_field="unique_key", agency_field="agency",
         emit=got.append,
     )
-    checker.start(MiniTable(["unique_key", "agency", "incident_zip"]))
-    checker.consume(1, ["K1", "NYPD", "10001"])
-    checker.consume(2, ["K2", "DOT", "99999"])
-    checker.consume(3, ["", "NA", "88888"])
-    res = checker.finish()
+    res = feed(checker, {
+        "unique_key": ["K1", "K2", ""],
+        "agency": ["NYPD", "DOT", "NA"],
+        "incident_zip": ["10001", "99999", "88888"],
+    })
     assert res.checked == 3 and res.invalid == 2
     assert res.by_agency_invalid == {"DOT": 1}
     assert got[0].row_locator == "K2" and got[0].agency == "DOT"
@@ -91,9 +78,8 @@ def test_reference_checker_streaming_with_key_and_agency():
 
 
 def test_reference_checker_requires_field():
-    checker = ReferenceChecker("zip", ZIPS)
     with pytest.raises(ValueError):
-        checker.start(MiniTable(["a", "b"]))
+        feed(ReferenceChecker("zip", ZIPS), {"a": [], "b": []})
 
 
 # ------------------------------------------------------------------ geo box
@@ -136,7 +122,9 @@ def test_box_contains_matches_comparison_chain(lat, lon):
 def test_check_geo_bounds_counts():
     lats = ["40.70", "40.95", "", "oops", "40.70"]
     lons = ["-74.00", "-74.00", "-74.00", "-74.00", "NA"]
-    res, findings = check_geo_bounds(lats, lons)
+    findings = []
+    checker = GeoBoundsChecker("latitude", "longitude", emit=findings.append)
+    res = feed(checker, {"latitude": lats, "longitude": lons})
     assert res.pairs_checked == 2
     assert res.out_of_bounds == 1
     assert res.unparsed == 1
@@ -148,15 +136,14 @@ def test_geo_checker_streaming():
     checker = GeoBoundsChecker(
         "latitude", "longitude", key_field="unique_key", emit=got.append,
     )
-    checker.start(MiniTable(["unique_key", "latitude", "longitude"]))
-    checker.consume(1, ["K1", "40.70", "-74.00"])
-    checker.consume(2, ["K2", "41.50", "-74.00"])
-    checker.consume(3, ["K3", "nan", "-74.00"])
-    checker.consume(4, ["K4", "inf", "-74.00"])
-    res = checker.finish()
+    res = feed(checker, {
+        "unique_key": ["K1", "K2", "K3", "K4", "K5", "K6"],
+        "latitude": ["40.70", "41.50", "nan", "inf", "40.70", "40.70"],
+        "longitude": ["-74.00", "-74.00", "-74.00", "-74.00", "inf", "-inf"],
+    })
     assert res.pairs_checked == 2
     assert res.out_of_bounds == 1
-    assert res.unparsed == 2                    # nan and inf are not readings
+    assert res.unparsed == 4                    # nan and +-inf on either side are not readings
     assert [f.row_locator for f in got] == ["K2"]
     assert "41.50" in got[0].message
 
@@ -165,7 +152,8 @@ def test_geo_checker_streaming():
 
 def test_check_unique_reports_each_duplicated_value_once():
     values = ["A", "B", "A", "C", "A", "B", "", "NA"]
-    res, findings = check_unique(values, field="unique_key")
+    findings = []
+    res = feed(UniqueChecker("unique_key", emit=findings.append), {"unique_key": values})
     assert res.total_present == 6
     assert res.missing == 2
     assert res.duplicate_values == 2
@@ -180,15 +168,17 @@ def test_check_unique_reports_each_duplicated_value_once():
 
 def test_check_unique_required_flags_blanks():
     values = ["A", "", "NA", "B"]
-    res, findings = check_unique(values, field="unique_key", required=True)
+    findings = []
+    checker = UniqueChecker("unique_key", required=True, emit=findings.append)
+    res = feed(checker, {"unique_key": values})
     assert res.missing == 2
     assert [f.rule_id for f in findings] == ["missing_key", "missing_key"]
     assert [f.row_locator for f in findings] == [2, 3]
 
 
 def test_unique_locator_cap():
-    values = ["X"] * 25
-    res, findings = check_unique(values)
+    findings = []
+    res = feed(UniqueChecker("key", emit=findings.append), {"key": ["X"] * 25})
     assert res.duplicate_values == 1
     assert res.duplicate_rows == 25
     f = findings[0]
@@ -201,7 +191,7 @@ def test_unique_locator_cap():
 
 @given(st.lists(st.sampled_from(["A", "B", "C", "D", "", "NA"]), max_size=40))
 def test_unique_agrees_with_counter(values):
-    res, _ = check_unique(values)
+    res = feed(UniqueChecker("key"), {"key": values})
     present = [v for v in values if v not in ("", "NA")]
     counts = Counter(present)
     assert res.total_present == len(present)
@@ -213,7 +203,7 @@ def test_unique_agrees_with_counter(values):
 
 def test_unique_checker_requires_field():
     with pytest.raises(ValueError):
-        UniqueChecker("key").start(MiniTable(["a"]))
+        feed(UniqueChecker("key"), {"a": []})
 
 
 # ----------------------------------------------------------------- precision
@@ -247,7 +237,9 @@ def test_decimal_digits_counts_constructed_literals(sign, whole, frac):
 
 def test_audit_precision_histogram_and_flagging():
     values = ["40.5", "40.86769186022511", "40.123456", "40.1234567", "oops", "NA", ""]
-    audit, findings = audit_precision(values, max_decimals=6, field="latitude")
+    findings = []
+    auditor = PrecisionAuditor(["latitude"], max_decimals=6, emit=findings.append)
+    audit = feed(auditor, {"latitude": values})["latitude"]
     assert audit.histogram == {1: 1, 14: 1, 6: 1, 7: 1}
     assert audit.flagged == 2                   # strictly more than 6 digits
     assert audit.non_decimal == 1
@@ -260,7 +252,9 @@ def test_audit_precision_histogram_and_flagging():
 
 
 def test_audit_precision_quiet_when_everything_plausible():
-    audit, findings = audit_precision(["40.5", "40.123456"], max_decimals=6)
+    findings = []
+    auditor = PrecisionAuditor(["value"], max_decimals=6, emit=findings.append)
+    audit = feed(auditor, {"value": ["40.5", "40.123456"]})["value"]
     assert audit.flagged == 0
     assert findings == []
 
@@ -268,10 +262,10 @@ def test_audit_precision_quiet_when_everything_plausible():
 def test_precision_auditor_multi_field():
     got = []
     auditor = PrecisionAuditor(["latitude", "longitude"], 6, emit=got.append)
-    auditor.start(MiniTable(["latitude", "longitude"]))
-    auditor.consume(1, ["40.86769186022511", "-73.9"])
-    auditor.consume(2, ["40.5", "-73.96443258599051"])
-    res = auditor.finish()
+    res = feed(auditor, {
+        "latitude": ["40.86769186022511", "40.5"],
+        "longitude": ["-73.9", "-73.96443258599051"],
+    })
     assert res["latitude"].flagged == 1
     assert res["longitude"].flagged == 1
     assert [f.fields[0] for f in got] == ["latitude", "longitude"]
@@ -279,14 +273,14 @@ def test_precision_auditor_multi_field():
 
 def test_precision_auditor_requires_fields():
     with pytest.raises(ValueError):
-        PrecisionAuditor(["nope"]).start(MiniTable(["a"]))
+        feed(PrecisionAuditor(["nope"]), {"a": []})
 
 
 @given(st.lists(st.sampled_from(
     ["40.5", "40.12345678901", "7", "NA", "", "junk", "-73.123456"]
 ), max_size=30))
 def test_audit_precision_matches_counter(values):
-    audit, _ = audit_precision(values, max_decimals=6)
+    audit = feed(PrecisionAuditor(["value"], max_decimals=6), {"value": values})["value"]
     expect = Counter()
     non_decimal = 0
     for v in values:

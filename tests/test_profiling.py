@@ -20,28 +20,12 @@ from odqa.profiling import (
     tier_table,
 )
 
-
-class MiniTable:
-    """Just enough of RawTable to drive a consumer directly."""
-
-    def __init__(self, headers):
-        self.headers = list(headers)
-        self.raw_headers = list(headers)
-        self.width = len(headers)
-
-    def column_index(self, name):
-        try:
-            return self.headers.index(name)
-        except ValueError:
-            return None
+from conftest import feed
 
 
 def collect(headers, rows, **kw):
-    pc = ProfileCollector(**kw)
-    pc.start(MiniTable(headers))
-    for i, row in enumerate(rows, start=1):
-        pc.consume(i, row)
-    return pc.finish()
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(headers)}
+    return feed(ProfileCollector(**kw), columns)
 
 
 def column_oracle(rows, i):

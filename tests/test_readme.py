@@ -4,11 +4,13 @@ import re
 from pathlib import Path
 
 from odqa.cli import build_parser
+from odqa.config import load_config
 from odqa.findings import RULE_CATALOG
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 ROW = re.compile(r"^\| `([a-z_]+)` \| (info|warning|error) \| (.+?) \|$")
+YAML_BLOCK = re.compile(r"^```yaml\n(.*?)^```$", re.MULTILINE | re.DOTALL)
 
 
 def readme_rule_table():
@@ -35,3 +37,12 @@ def test_readme_names_every_subcommand():
     actions = [a for a in parser._subparsers._group_actions][0]
     for name in actions.choices:
         assert f"odqa {name}" in text
+
+
+def test_every_yaml_block_loads(tmp_path):
+    blocks = YAML_BLOCK.findall(README.read_text(encoding="utf-8"))
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.yaml"
+        path.write_text(block, encoding="utf-8")
+        load_config(path)

@@ -1,48 +1,37 @@
 """Reduction planning, application, and reconstruction."""
 
+import csv
 import filecmp
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from odqa.errors import PlanError
-from odqa.ingest import open_table, stream_rows
+from odqa.ingest import DEFAULT_CLASSIFIER, open_table, stream_rows
 from odqa.profiling import ProfileCollector
 from odqa.redundancy import ConcatChecker, PairCollector, PairMatchStats
 from odqa.reduce import (
     EncodeCapExceeded,
+    PlanAction,
     PlanPolicy,
     ReductionPlan,
     ValueDictionary,
     apply_plan,
     build_plan,
     code_width_for,
-    encode_column,
     reconstruct_table,
 )
 
-
-class MiniTable:
-    def __init__(self, headers):
-        self.headers = list(headers)
-        self.raw_headers = list(headers)
-        self.width = len(headers)
-
-    def column_index(self, name):
-        try:
-            return self.headers.index(name)
-        except ValueError:
-            return None
+from conftest import feed
 
 
-def profile_rows(headers, rows):
-    pc = ProfileCollector()
-    pc.start(MiniTable(headers))
-    for i, row in enumerate(rows, start=1):
-        pc.consume(i, row)
-    return pc.finish()
+def profile_rows(headers, rows, **kw):
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(headers)}
+    return feed(ProfileCollector(**kw), columns)
 
 
 def dup_stats(a, b, n=10):
@@ -68,30 +57,49 @@ def test_code_width_fits_all_codes(n):
         assert w == 1 or len(str(n - 1)) > w - 1
 
 
-def test_encode_column_first_appearance_order():
-    vd, encoded = encode_column(["Closed", "Open", "Closed", "", "NA", "Pending"])
+def encode_via_apply(values, out_dir):
+    """Apply a plan that only encodes column v; returns (dictionary, encoded cells).
+
+    Apply writes every missing token as an empty cell, so an encoded "NA"
+    does not round-trip. The assertions on "" below pin that lossy
+    behaviour until missing tokens get dictionary entries of their own.
+    """
+    out_dir = Path(out_dir)
+    src = out_dir / "source.csv"
+    with open(src, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["k", "v"])
+        w.writerows([f"K{i}", v] for i, v in enumerate(values))
+    distinct = {v for v in values if DEFAULT_CLASSIFIER.kind_of(v) is None}
+    encode = PlanAction("encode", "v", "test", True, 0, {"code_width": code_width_for(len(distinct))})
+    plan = ReductionPlan(
+        baseline_bytes=src.stat().st_size, row_count=len(values), headers=["k", "v"], actions=[encode],
+    )
+    applied = apply_plan(open_table(src), plan, out_dir / "out", key_field="k")
+    with open(applied.main_path, newline="", encoding="utf-8") as fh:
+        encoded = [row[1] for row in list(csv.reader(fh))[1:]]
+    return ValueDictionary.read_csv("v", applied.dictionary_paths["v"]), encoded
+
+
+def test_encode_column_first_appearance_order(tmp_path):
+    vd, encoded = encode_via_apply(["Closed", "Open", "Closed", "", "NA", "Pending"], tmp_path)
     assert vd.entries == ("Closed", "Open", "Pending")
     assert encoded == ["0", "1", "0", "", "", "2"]
     assert vd.code_width == 1
     assert vd.codes() == {"Closed": "0", "Open": "1", "Pending": "2"}
 
 
-def test_encode_column_pads_to_width():
-    values = [f"v{i}" for i in range(12)]
-    vd, encoded = encode_column(values)
+def test_encode_column_pads_to_width(tmp_path):
+    vd, encoded = encode_via_apply([f"v{i}" for i in range(12)], tmp_path)
     assert vd.code_width == 2
     assert encoded[0] == "00" and encoded[11] == "11"
 
 
-def test_encode_column_cap():
-    with pytest.raises(EncodeCapExceeded):
-        encode_column([f"v{i}" for i in range(11)], cap=10)
-
-
 @given(st.lists(st.sampled_from(["a", "bb", "ccc", "", "NA", "dddd"]), max_size=40))
 def test_encode_roundtrip(values):
-    vd, encoded = encode_column(values)
-    for raw, code in zip(values, encoded):
+    with tempfile.TemporaryDirectory() as tmp:
+        vd, encoded = encode_via_apply(values, tmp)
+    for raw, code in zip(values, encoded, strict=True):
         if raw in ("", "NA"):
             assert code == ""
         else:
@@ -232,11 +240,7 @@ def test_encode_refused_past_cap_and_for_approximate():
     assert plan.actions == []
     assert "cap 5" in got[0].message
 
-    pc = ProfileCollector(distinct_cap=4)
-    pc.start(MiniTable(["v"]))
-    for i in range(10):
-        pc.consume(i + 1, [f"value {i}"])
-    approx = pc.finish()
+    approx = profile_rows(["v"], [[f"value {i}"] for i in range(10)], distinct_cap=4)
     got2 = []
     plan = build_plan(
         approx, [], PlanPolicy(encode_fields=["v"]),
@@ -312,9 +316,8 @@ COMPLAINTS = ["NOISE COMPLAINT", "HEAT OUTAGE", "POTHOLE REPORT", "ILLEGAL PARKI
 
 
 def write_source(path, rows=120):
-    import csv as _csv
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["Unique Key", "Borough", "Park Borough", "Taxi Pickup",
                     "Complaint", "Latitude", "Longitude", "Location"])
         for i in range(rows):
@@ -416,10 +419,9 @@ def test_apply_segregation_needs_key(tmp_path):
 
 
 def test_apply_blank_key_under_segregation_cleans_up(tmp_path):
-    import csv as _csv
     src = tmp_path / "s.csv"
     with open(src, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["k", "sparse"])
         for i in range(100):
             w.writerow(["" if i == 50 else f"K{i}", "v" if i == 50 else ""])
@@ -438,10 +440,9 @@ def test_apply_blank_key_under_segregation_cleans_up(tmp_path):
 
 
 def test_apply_width_drift_aborts(tmp_path):
-    import csv as _csv
     src = tmp_path / "s.csv"
     with open(src, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["k", "v"])
         for i in range(30):
             w.writerow([f"K{i}", f"value nr {i % 12}"])
@@ -455,7 +456,7 @@ def test_apply_width_drift_aborts(tmp_path):
     assert plan.actions_of("encode")[0].details["code_width"] == 2
     # the file shrinks to 9 distinct values after planning
     with open(src, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["k", "v"])
         for i in range(30):
             w.writerow([f"K{i}", f"value nr {i % 9}"])
@@ -466,10 +467,9 @@ def test_apply_width_drift_aborts(tmp_path):
 
 
 def test_apply_code_space_overflow_aborts(tmp_path):
-    import csv as _csv
     src = tmp_path / "s.csv"
     with open(src, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["k", "v"])
         for i in range(20):
             w.writerow([f"K{i}", f"value nr {i % 8}"])
@@ -482,7 +482,7 @@ def test_apply_code_space_overflow_aborts(tmp_path):
     )
     # the file gains distinct values past the planned one-digit space
     with open(src, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["k", "v"])
         for i in range(20):
             w.writerow([f"K{i}", f"value nr {i}"])
@@ -509,10 +509,9 @@ def test_reconstruct_refuses_lossy(tmp_path):
 
 
 def test_reconstruct_uses_normalized_headers_without_raw(tmp_path):
-    import csv as _csv
     src = tmp_path / "s.csv"
     with open(src, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["k", "a", "b"])
         for i in range(5):
             w.writerow([f"K{i}", f"x{i}", f"x{i}"])

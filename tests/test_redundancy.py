@@ -15,29 +15,27 @@ from odqa.redundancy import (
     VERDICT_DUPLICATE,
     VERDICT_NA,
     VERDICT_NEAR,
-    detect_concatenation,
-    functional_dependency,
-    measure_normalization_gain,
     normalize_street,
-    pair_match,
 )
 
-
-class MiniTable:
-    def __init__(self, headers):
-        self.headers = list(headers)
-        self.raw_headers = list(headers)
-        self.width = len(headers)
-
-    def column_index(self, name):
-        try:
-            return self.headers.index(name)
-        except ValueError:
-            return None
+from conftest import feed
 
 
 def is_blank(v):
     return DEFAULT_CLASSIFIER.kind_of(v) is not None
+
+
+def match(a, b, normalizer=None):
+    """Stats of one pair ("a", "b") streamed through a PairCollector."""
+    return feed(PairCollector([("a", "b", normalizer)]), {"a": a, "b": b})[0]
+
+
+def concat(target, a, b, template="({a}, {b})"):
+    return feed(ConcatChecker("t", "a", "b", template), {"t": target, "a": a, "b": b})
+
+
+def dependency(a, b):
+    return feed(FDChecker("a", "b"), {"a": a, "b": b})
 
 
 # ---------------------------------------------------------------- pair match
@@ -45,7 +43,9 @@ def is_blank(v):
 def test_pair_match_counts():
     a = ["BROOKLYN", "QUEENS", "", "NA", "BRONX", "QUEENS"]
     b = ["BROOKLYN", "QUEENS", "", "BRONX", "", "STATEN"]
-    s = pair_match(a, b, field_a="borough", field_b="park_borough")
+    collector = PairCollector([("borough", "park_borough", None)])
+    s = feed(collector, {"borough": a, "park_borough": b})[0]
+    assert (s.field_a, s.field_b) == ("borough", "park_borough")
     assert s.rows == 6
     assert s.both_blank == 1                    # ("", "")
     assert s.one_blank == 2                     # ("NA", "BRONX") and ("BRONX", "")
@@ -58,7 +58,7 @@ def test_pair_match_counts():
 
 def test_identical_columns_are_a_duplicate():
     col = ["BROOKLYN", "", "QUEENS", "NA", "BRONX"]
-    s = pair_match(col, list(col))
+    s = match(col, list(col))
     assert s.rate_both_present == 1.0
     assert s.blank_masks_equal
     assert s.verdict() == VERDICT_DUPLICATE
@@ -66,17 +66,17 @@ def test_identical_columns_are_a_duplicate():
 
 def test_verdict_thresholds():
     def stats_with_rate(num, den):
-        return pair_match(["x"] * num + ["y"] * (den - num), ["x"] * den)
+        return match(["x"] * num + ["y"] * (den - num), ["x"] * den)
 
     assert stats_with_rate(100, 100).verdict() == VERDICT_DUPLICATE
     assert stats_with_rate(85, 100).verdict() == VERDICT_NEAR       # >= 0.85
     assert stats_with_rate(84, 100).verdict() == VERDICT_DISTINCT
     assert stats_with_rate(84, 100).verdict(near_threshold=0.8) == VERDICT_NEAR
-    assert pair_match(["", "NA"], ["", "x"]).verdict() == VERDICT_NA
+    assert match(["", "NA"], ["", "x"]).verdict() == VERDICT_NA
 
 
 def test_rates_are_none_not_zero_without_denominator():
-    s = pair_match(["", ""], ["", ""])
+    s = match(["", ""], ["", ""])
     assert s.rate_both_present is None
     assert s.rate_nonblank is None
     assert s.normalized_rate is None
@@ -86,11 +86,11 @@ def test_rates_are_none_not_zero_without_denominator():
 def test_normalized_match_includes_exact():
     a = ["E 4TH ST", "W BROADWAY", "MAIN ST"]
     b = ["EAST 4 STREET", "W BROADWAY", "MAIN AVE"]
-    s = pair_match(a, b, normalizer=normalize_street)
+    s = match(a, b, normalizer=normalize_street)
     # "E" and "EAST" differ even normalized; exact row counts in both
     assert s.exact_match == 1
     assert s.normalized_match == 1
-    s2 = pair_match(["E 4TH ST"], ["E 4 STREET"], normalizer=normalize_street)
+    s2 = match(["E 4TH ST"], ["E 4 STREET"], normalizer=normalize_street)
     assert s2.exact_match == 0 and s2.normalized_match == 1
 
 
@@ -107,7 +107,7 @@ def test_normalized_match_includes_exact():
 def test_pair_match_agrees_with_brute_force(pairs):
     a = [p[0] for p in pairs]
     b = [p[1] for p in pairs]
-    s = pair_match(a, b)
+    s = match(a, b)
     bb = sum(1 for va, vb in pairs if is_blank(va) and is_blank(vb))
     ob = sum(1 for va, vb in pairs if is_blank(va) != is_blank(vb))
     bp = sum(1 for va, vb in pairs if not is_blank(va) and not is_blank(vb))
@@ -124,10 +124,7 @@ def test_pair_collector_emits_only_redundant_pairs():
         [("a", "b", None), ("a", "c", None)],
         emit=got.append,
     )
-    collector.start(MiniTable(["a", "b", "c"]))
-    for va in ["x", "y", "z"]:
-        collector.consume(1, [va, va, "other"])
-    stats = collector.finish()
+    stats = feed(collector, {"a": ["x", "y", "z"], "b": ["x", "y", "z"], "c": ["other"] * 3})
     assert stats[0].verdict() == VERDICT_DUPLICATE
     assert stats[1].verdict() == VERDICT_DISTINCT
     assert [f.rule_id for f in got] == ["redundant_pair"]
@@ -136,9 +133,8 @@ def test_pair_collector_emits_only_redundant_pairs():
 
 
 def test_pair_collector_requires_columns():
-    collector = PairCollector([("a", "missing", None)])
     with pytest.raises(ValueError):
-        collector.start(MiniTable(["a", "b"]))
+        feed(PairCollector([("a", "missing", None)]), {"a": [], "b": []})
 
 
 # ------------------------------------------------------------- concatenation
@@ -147,7 +143,8 @@ def test_concat_default_template():
     lat = ["40.7", "40.8", ""]
     lon = ["-73.9", "-73.8", "-73.7"]
     loc = ["(40.7, -73.9)", "(40.8,-73.8)", "(40.7, -73.7)"]
-    s = detect_concatenation(loc, lat, lon)
+    s = feed(ConcatChecker("location", "latitude", "longitude"),
+             {"location": loc, "latitude": lat, "longitude": lon})
     assert s.rows_considered == 2               # blank lat row is skipped
     assert s.matches == 1                       # second row lacks the space
     assert s.rate == pytest.approx(0.5)
@@ -157,18 +154,18 @@ def test_concat_exact_rendering_rate_one():
     lat = [f"40.{i}" for i in range(50)]
     lon = [f"-73.{i}" for i in range(50)]
     loc = [f"({a}, {b})" for a, b in zip(lat, lon)]
-    s = detect_concatenation(loc, lat, lon)
+    s = concat(loc, lat, lon)
     assert s.rate == 1.0
     assert s.rows_considered == 50
 
 
 def test_concat_custom_template():
-    s = detect_concatenation(["A - B"], ["A"], ["B"], template="{a} - {b}")
+    s = concat(["A - B"], ["A"], ["B"], template="{a} - {b}")
     assert s.matches == 1
 
 
 def test_concat_rate_none_when_nothing_considered():
-    s = detect_concatenation(["", "NA"], ["x", "y"], ["z", "w"])
+    s = concat(["", "NA"], ["x", "y"], ["z", "w"])
     assert s.rows_considered == 0 and s.rate is None
 
 
@@ -179,9 +176,8 @@ def test_concat_template_validation(template):
 
 
 def test_concat_checker_requires_columns():
-    checker = ConcatChecker("loc", "lat", "lon")
     with pytest.raises(ValueError):
-        checker.start(MiniTable(["lat", "lon"]))
+        feed(ConcatChecker("loc", "lat", "lon"), {"lat": [], "lon": []})
 
 
 @given(
@@ -189,7 +185,7 @@ def test_concat_checker_requires_columns():
     b=st.text(alphabet="0123456789.-", min_size=1, max_size=8),
 )
 def test_concat_detects_its_own_rendering(a, b):
-    s = detect_concatenation([f"({a}, {b})"], [a], [b])
+    s = concat([f"({a}, {b})"], [a], [b])
     assert s.matches == s.rows_considered == 1
 
 
@@ -247,16 +243,16 @@ def test_normalizer_rejects_non_fixed_point_tables():
 def test_normalization_gain():
     a = ["E 4TH ST", "MAIN ST", "OCEAN PKWY", ""]
     b = ["EAST 4 STREET", "MAIN STREET", "OCEAN PARKWAY", "X"]
-    g = measure_normalization_gain(a, b)
-    assert g.both_present == 3
-    assert g.raw_rate == pytest.approx(0.0)
-    assert g.normalized_rate == pytest.approx(2 / 3)
-    assert g.gain == pytest.approx(2 / 3)
+    s = match(a, b, normalizer=normalize_street)
+    assert s.both_present == 3
+    assert s.rate_both_present == pytest.approx(0.0)
+    assert s.normalized_rate == pytest.approx(2 / 3)
+    assert s.normalized_rate - s.rate_both_present == pytest.approx(2 / 3)
 
 
 def test_normalization_gain_empty_is_none():
-    g = measure_normalization_gain([""], [""])
-    assert g.raw_rate is None and g.gain is None
+    s = match([""], [""], normalizer=normalize_street)
+    assert s.rate_both_present is None and s.normalized_rate is None
 
 
 # -------------------------------------------------------------- dependencies
@@ -264,7 +260,7 @@ def test_normalization_gain_empty_is_none():
 def test_fd_holds():
     borough = ["BRONX", "QUEENS", "BRONX", "", "QUEENS"]
     park = ["BRONX", "QUEENS", "BRONX", "QUEENS", "QUEENS"]
-    res = functional_dependency(borough, park, determinant="borough", dependent="park_borough")
+    res = feed(FDChecker("borough", "park_borough"), {"borough": borough, "park_borough": park})
     assert res.holds
     assert res.rows_checked == 4                # the blank determinant row is out
     assert res.mapping_size == 2
@@ -274,7 +270,7 @@ def test_fd_holds():
 def test_fd_violation_examples():
     a = ["X", "X", "X", "Y"]
     b = ["1", "2", "1", "3"]
-    res = functional_dependency(a, b)
+    res = dependency(a, b)
     assert not res.holds
     assert res.violations == 1
     assert res.examples == [("X", "1", "2")]
@@ -286,7 +282,7 @@ def test_fd_violation_examples():
 def test_fd_example_cap():
     a = ["X"] * 30
     b = ["0"] + [str(i) for i in range(1, 30)]
-    res = functional_dependency(a, b)
+    res = dependency(a, b)
     assert res.violations == 29
     assert len(res.examples) == FDChecker("a", "b").result.EXAMPLE_CAP
 
@@ -297,7 +293,7 @@ def test_fd_example_cap():
     max_size=30,
 ))
 def test_fd_holds_iff_mapping_is_single_valued(rows):
-    res = functional_dependency([r[0] for r in rows], [r[1] for r in rows])
+    res = dependency([r[0] for r in rows], [r[1] for r in rows])
     groups = {}
     for va, vb in rows:
         if is_blank(va) or is_blank(vb):
@@ -312,4 +308,4 @@ def test_fd_holds_iff_mapping_is_single_valued(rows):
 
 def test_fd_checker_requires_columns():
     with pytest.raises(ValueError):
-        FDChecker("a", "zzz").start(MiniTable(["a", "b"]))
+        feed(FDChecker("a", "zzz"), {"a": [], "b": []})

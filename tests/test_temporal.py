@@ -16,29 +16,23 @@ from odqa.temporal import (
     DurationAuditor,
     MIN_SPIKE_SAMPLE,
     TemporalRules,
-    compute_durations,
-    detect_hour_spikes,
-    detect_post_close_updates,
     evaluate_hour_histogram,
-    midnight_exact_count,
     pair_duration,
 )
 from odqa.timestamps import TimestampParser, parse_timestamp
 
+from conftest import feed
+
 P = TimestampParser()
 
 
-class MiniTable:
-    def __init__(self, headers):
-        self.headers = list(headers)
-        self.raw_headers = list(headers)
-        self.width = len(headers)
-
-    def column_index(self, name):
-        try:
-            return self.headers.index(name)
-        except ValueError:
-            return None
+def audit(columns, **kw):
+    """(summary, findings) of a DurationAuditor on "created"/"closed" over columns."""
+    got = []
+    auditor = DurationAuditor(
+        created_field="created", closed_field="closed", parser=P, emit=got.append, **kw,
+    )
+    return feed(auditor, columns), got
 
 
 # ------------------------------------------------------------ pair duration
@@ -83,7 +77,7 @@ def test_pair_duration_across_spring_forward():
     assert seconds == 3600
 
 
-# -------------------------------------------------------- compute_durations
+# ------------------------------------------------------ durations, row by row
 
 def test_compute_durations_catalogue():
     created = [
@@ -104,30 +98,38 @@ def test_compute_durations_catalogue():
         "06/01/2023 10:00:00 AM",
         "06/01/2023 10:00:00 AM",
     ]
-    records, findings = compute_durations(created, closed, P)
-    # the unparseable and missing rows never produce a record; the gap row
-    # does, with no duration
-    assert [r.ordinal for r in records] == [1, 2, 3, 4, 5]
-    by_ordinal = {r.ordinal: r for r in records}
-    assert by_ordinal[1].seconds == 86400 and not by_ordinal[1].negative
-    assert by_ordinal[2].zero
-    r3 = by_ordinal[3]
-    assert r3.negative and r3.dst_explainable and r3.seconds == -1800
-    r4 = by_ordinal[4]
-    assert r4.sentinel and r4.extreme and r4.seconds > 0
-    assert by_ordinal[5].seconds is None
+    s, findings = audit({"created": created, "closed": closed})
+    # the unparseable and missing rows never pair up; the gap row pairs
+    # with no duration; the sentinel row is kept out of the distribution
+    assert s.gap_pairs == 1
+    assert s.duration_count == 3
+    assert s.negative == 1 and s.zero == 1 and s.extreme == 1
+    assert s.dst_explainable_negatives == 1
+    assert s.sentinel_rows == 1 and s.sentinel_and_negative == 0
+    assert s.min_seconds == -1800 and s.max_seconds == 86400
+    assert s.duration_histogram_days == {-1: 1, 0: 1, 1: 1}
+    assert s.parse_failures == {"created": 1, "closed": 0}
 
     by_rule = {}
     for f in findings:
         by_rule.setdefault(f.rule_id, []).append(f)
     assert sorted(by_rule) == [
-        "dst_gap_invalid", "extreme_duration", "negative_duration",
+        "dst_gap_invalid", "extreme_duration", "insufficient_data", "negative_duration",
         "sentinel_date", "unparseable_timestamp", "zero_duration",
     ]
-    assert len(by_rule["negative_duration"]) == 1
-    assert "explainable by a DST fold" in by_rule["negative_duration"][0].message
-    assert by_rule["unparseable_timestamp"][0].row_locator == 6
+    assert [f.row_locator for f in by_rule["zero_duration"]] == [2]
+    negative = by_rule["negative_duration"]
+    assert [f.row_locator for f in negative] == [3]
+    assert "explainable by a DST fold" in negative[0].message
+    assert negative[0].measured.value == round(-1800 / 86400, 6)
+    extreme = by_rule["extreme_duration"]
+    assert [f.row_locator for f in extreme] == [4]
+    assert extreme[0].measured.value > 0
+    assert [f.row_locator for f in by_rule["sentinel_date"]] == [4]
     assert by_rule["sentinel_date"][0].message.count("1900-01-01") == 1
+    assert [f.row_locator for f in by_rule["dst_gap_invalid"]] == [5]
+    assert [f.row_locator for f in by_rule["unparseable_timestamp"]] == [6]
+    assert by_rule["unparseable_timestamp"][0].fields == ("created",)
 
 
 @settings(max_examples=150)
@@ -140,15 +142,14 @@ def test_compute_durations_matches_naive_delta_in_quiet_window(a, b):
     base = dt.datetime(2023, 6, 1, 0, 0, 0)
     raw_c = (base + dt.timedelta(seconds=a)).strftime("%m/%d/%Y %I:%M:%S %p")
     raw_z = (base + dt.timedelta(seconds=b)).strftime("%m/%d/%Y %I:%M:%S %p")
-    records, findings = compute_durations([raw_c], [raw_z], P)
-    assert len(records) == 1
-    r = records[0]
-    assert r.seconds == b - a
-    assert r.negative == (b < a)
-    assert r.zero == (b == a)
-    assert not r.extreme and not r.sentinel
-    expected_findings = 1 if b <= a else 0
-    assert len(findings) == expected_findings
+    s, findings = audit({"created": [raw_c], "closed": [raw_z]})
+    assert s.duration_count == 1
+    assert s.min_seconds == s.max_seconds == b - a
+    assert s.negative == (b < a)
+    assert s.zero == (b == a)
+    assert s.extreme == 0 and s.sentinel_rows == 0
+    per_row = [f for f in findings if f.row_locator is not None]
+    assert len(per_row) == (1 if b <= a else 0)
 
 
 # ------------------------------------------------------------------- spikes
@@ -190,45 +191,64 @@ def test_histogram_flag_set_matches_definition(counts):
 
 
 def ts_at(hour, minute=0, second=0, day=1):
-    return parse_timestamp(f"2023-06-{day:02d} {hour:02d}:{minute:02d}:{second:02d}")
+    return f"2023-06-{day:02d} {hour:02d}:{minute:02d}:{second:02d}"
+
+
+def created_spikes(readings):
+    """(summary, findings on created) for created readings with no closed side."""
+    s, got = audit({"created": readings, "closed": [""] * len(readings)})
+    return s, [f for f in got if f.fields == ("created",)]
 
 
 def test_detect_spikes_only_on_the_hour_enters_histogram():
     readings = [ts_at(0) for _ in range(26)] + [ts_at(0, 15) for _ in range(4)]
-    result = detect_hour_spikes(readings, field="created")
-    assert result.parsed_count == 30
-    assert result.stats.histogram[0] == 26
-    assert sum(result.stats.histogram) == 26
-    assert result.stats.flagged == (0,)
-    assert [f.rule_id for f in result.findings] == ["midnight_batch_suspect"]
+    s, findings = created_spikes(readings)
+    assert s.spike_parsed["created"] == 30
+    assert s.spikes["created"].histogram[0] == 26
+    assert sum(s.spikes["created"].histogram) == 26
+    assert s.spikes["created"].flagged == (0,)
+    assert [f.rule_id for f in findings] == ["midnight_batch_suspect"]
 
 
 def test_detect_spikes_nonzero_hour_is_hour_spike():
     readings = [ts_at(7) for _ in range(26)] + [ts_at(9, 30) for _ in range(4)]
-    result = detect_hour_spikes(readings, field="created")
-    assert [f.rule_id for f in result.findings] == ["hour_spike"]
-    assert "07:00" in result.findings[0].message
+    _, findings = created_spikes(readings)
+    assert [f.rule_id for f in findings] == ["hour_spike"]
+    assert "07:00" in findings[0].message
 
 
 def test_detect_spikes_needs_minimum_sample():
     readings = [ts_at(0) for _ in range(MIN_SPIKE_SAMPLE - 1)]
-    result = detect_hour_spikes(readings, field="created")
-    assert result.stats is None
-    assert [f.rule_id for f in result.findings] == ["insufficient_data"]
-    assert result.findings[0].measured.value == MIN_SPIKE_SAMPLE - 1
+    s, findings = created_spikes(readings)
+    assert s.spikes["created"] is None
+    assert [f.rule_id for f in findings] == ["insufficient_data"]
+    assert findings[0].measured.value == MIN_SPIKE_SAMPLE - 1
 
 
 # ----------------------------------------------------------------- midnight
 
 def test_midnight_exact_count():
     readings = [ts_at(0), ts_at(0), ts_at(1), ts_at(0, 0, 1)]
-    assert midnight_exact_count(readings).count == 2
-    with_ag = midnight_exact_count(readings, agencies=["NYPD", "", "DOT", "DOT"])
-    assert with_ag.count == 2
-    assert with_ag.by_agency == {"NYPD": 1}     # blank agency unattributed
+    s, _ = audit({"created": readings, "closed": [""] * 4})
+    assert s.midnight.count == 2
+    with_ag, _ = audit(
+        {"created": readings, "closed": [""] * 4, "agency": ["NYPD", "", "DOT", "DOT"]},
+        agency_field="agency",
+    )
+    assert with_ag.midnight.count == 2
+    assert with_ag.midnight.by_agency == {"NYPD": 1}    # blank agency unattributed
 
 
 # --------------------------------------------------------------- post-close
+
+def post_close(closed, updated):
+    """(post-close result, post-close findings) for closed/updated pairs."""
+    s, got = audit(
+        {"created": [""] * len(closed), "closed": closed, "updated": updated},
+        updated_field="updated",
+    )
+    return s.post_close, [f for f in got if f.rule_id.startswith("post_close")]
+
 
 def test_post_close_lag_buckets():
     closed = ["06/01/2023 10:00:00 AM"] * 6
@@ -238,30 +258,31 @@ def test_post_close_lag_buckets():
         (base + dt.timedelta(days=d)).strftime("%m/%d/%Y %I:%M:%S %p")
         for d in offsets_days
     ]
-    out = detect_post_close_updates(closed, updated, P)
+    out, findings = post_close(closed, updated)
     assert out.pairs_checked == 6
     assert out.late_count == 1                  # only the 31-day lag; 30 is inside
     assert out.infeasible_count == 1            # the 800-day lag, kept out of the histogram
     assert out.lag_histogram_days == {0: 1, 5: 1, 31: 1, -5: 1, 30: 1}
-    rules = sorted(f.rule_id for f in out.findings)
+    rules = sorted(f.rule_id for f in findings)
     assert rules == ["post_close_infeasible", "post_close_update"]
-    late = next(f for f in out.findings if f.rule_id == "post_close_update")
+    late = next(f for f in findings if f.rule_id == "post_close_update")
     assert late.measured.value == pytest.approx(31.0)
+    assert late.row_locator == 3
 
 
 def test_post_close_skips_unusable_pairs():
     closed = ["NA", "06/01/2023 10:00:00 AM", "03/12/2023 02:30:00 AM", "junk"]
     updated = ["06/01/2023 10:00:00 AM", "", "06/01/2023 10:00:00 AM", "06/01/2023 10:00:00 AM"]
-    out = detect_post_close_updates(closed, updated, P)
+    out, findings = post_close(closed, updated)
     # missing, missing, gap-closed, unparseable: nothing checkable
     assert out.pairs_checked == 0
-    assert out.findings == []
+    assert findings == []
 
 
 def test_post_close_boundary_is_strict():
     closed = ["06/01/2023 10:00:00 AM"] * 2
     updated = ["07/01/2023 10:00:00 AM", "07/01/2023 10:00:01 AM"]
-    out = detect_post_close_updates(closed, updated, P)
+    out, _ = post_close(closed, updated)
     assert out.late_count == 1                  # 30d exactly is inside the window
 
 
@@ -279,16 +300,9 @@ AUDIT_ROWS = [
 ]
 
 
-def run_auditor(rows, **kw):
-    got = []
-    auditor = DurationAuditor(
-        created_field="created", closed_field="closed", updated_field="updated",
-        key_field="unique_key", parser=P, emit=got.append, **kw,
-    )
-    auditor.start(MiniTable(AUDIT_HEADERS))
-    for i, row in enumerate(rows, start=1):
-        auditor.consume(i, row)
-    return auditor.finish(), got
+def run_auditor(rows):
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(AUDIT_HEADERS)}
+    return audit(columns, updated_field="updated", key_field="unique_key")
 
 
 def test_auditor_summary_numbers():
@@ -368,7 +382,7 @@ def test_auditor_midnight_counts_both_sides():
 def test_auditor_requires_mapped_columns():
     auditor = DurationAuditor(created_field="created", closed_field="nope", parser=P)
     with pytest.raises(ValueError):
-        auditor.start(MiniTable(AUDIT_HEADERS))
+        feed(auditor, {name: [] for name in AUDIT_HEADERS})
 
 
 def test_auditor_through_file(write_csv):
