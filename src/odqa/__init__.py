@@ -8,7 +8,7 @@ evidence into a storage reduction plan and executes it losslessly.
 
 from .config import AuditConfig, load_config
 from .dictionary import DataDictionary, FieldDescriptor, load_dictionary
-from .errors import ConfigError, DictionaryLoadError, OdqaError, PlanError
+from .errors import ConfigError, DictionaryLoadError, InputError, OdqaError, PlanError
 from .findings import Finding, FindingSink, Measurement, RULE_CATALOG, Severity
 from .ingest import MissingClassifier, RawTable, RowConsumer, open_table, stream_rows
 from .pipeline import (
@@ -52,6 +52,7 @@ __all__ = [
     "FieldDescriptor",
     "Finding",
     "FindingSink",
+    "InputError",
     "LocalTimestamp",
     "Measurement",
     "MissingClassifier",

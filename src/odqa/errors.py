@@ -15,3 +15,7 @@ class DictionaryLoadError(OdqaError):
 
 class PlanError(OdqaError):
     """A reduction plan is internally inconsistent or does not match the table."""
+
+
+class InputError(OdqaError):
+    """The input file cannot be read as a table (for example, it has no header row)."""

@@ -12,12 +12,14 @@ cost low enough for multi-gigabyte inputs.
 from __future__ import annotations
 
 import csv
+import hashlib
 import logging
 import os
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
+from .errors import InputError
 from .findings import Finding, make_finding
 
 log = logging.getLogger(__name__)
@@ -77,9 +79,6 @@ class MissingClassifier:
         if token.lower() == "null":
             return "null_literal"
         return None
-
-    def is_present(self, raw: str) -> bool:
-        return self.kind_of(raw) is None
 
 
 DEFAULT_CLASSIFIER = MissingClassifier()
@@ -155,11 +154,14 @@ class _LineFeed:
     Splits strictly on LF so that CR characters and quoted embedded
     newlines survive for the csv module to interpret. next_offset is the
     file offset of the line the next __next__ call will return, which for
-    csv parsing is the offset of the upcoming record.
+    csv parsing is the offset of the upcoming record. sha256 hashes every
+    byte read, BOM included, so once the feed is exhausted it is the
+    file's digest without a second read.
     """
 
     def __init__(self, fh):
         self._fh = fh
+        self.sha256 = hashlib.sha256()
         self._lines: list[bytes] = []
         self._idx = 0
         self._tail = b""
@@ -173,6 +175,7 @@ class _LineFeed:
     def _fill(self) -> bool:
         while True:
             chunk = self._fh.read(_CHUNK)
+            self.sha256.update(chunk)
             if not chunk:
                 self._eof = True
                 if self._tail:
@@ -209,7 +212,7 @@ def open_table(path: str | os.PathLike) -> RawTable:
 
     Unnamed columns get a synthesized name and an error Finding; collisions
     after normalization get "_2", "_3" suffixes and a warning Finding.
-    Raises OSError if the file cannot be opened and ValueError if it has
+    Raises OSError if the file cannot be opened and InputError if it has
     no header row.
     """
     p = Path(path)
@@ -222,7 +225,7 @@ def open_table(path: str | os.PathLike) -> RawTable:
             reader = csv.reader(feed, strict=True)
             raw_headers = next(reader)
         except StopIteration:
-            raise ValueError(f"{p}: no header row") from None
+            raise InputError(f"{p}: no header row") from None
 
     used: set[str] = set()
     headers: list[str] = []
@@ -271,6 +274,7 @@ class StreamResult:
     delivered: int        # records handed to consumers
     skipped_malformed: int
     skipped_ragged: int
+    sha256: str           # digest of the whole file, read by this pass
 
 
 def stream_rows(
@@ -306,7 +310,7 @@ def stream_rows(
             table.row_count = 0
             for c in consumers:
                 c.finish()
-            return StreamResult(0, 0, 0, 0)
+            return StreamResult(0, 0, 0, 0, feed.sha256.hexdigest())
 
         while True:
             record_offset = feed.next_offset
@@ -342,4 +346,4 @@ def stream_rows(
         c.finish()
     if malformed or ragged:
         log.info("stream %s: %d malformed, %d ragged of %d records", table.path, malformed, ragged, ordinal)
-    return StreamResult(ordinal, delivered, malformed, ragged)
+    return StreamResult(ordinal, delivered, malformed, ragged, feed.sha256.hexdigest())

@@ -54,13 +54,13 @@ from .report import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
     AuditReport,
-    file_sha256,
     render_json,
     render_markdown_file,
     render_pairs_csv,
     render_profiles_csv,
 )
 from .temporal import DurationAuditor
+from .timestamps import TimestampParser
 
 log = logging.getLogger(__name__)
 
@@ -104,12 +104,13 @@ def _open(cfg: AuditConfig):
     return sink, emit, table
 
 
-def _conclude(cfg: AuditConfig, command: str, table: RawTable, sink: FindingSink,
+def _conclude(cfg: AuditConfig, command: str, table: RawTable, sha256: str, sink: FindingSink,
               sections: dict, delivered: int, **fields) -> RunResult:
-    """Assemble the report and set the exit status from the sink."""
+    """Assemble the report and set the exit status from the sink; sha256 is
+    the input's digest, taken by the pass that streamed it."""
     report = AuditReport.build(
         dataset_path=str(table.path),
-        dataset_sha256=file_sha256(table.path),
+        dataset_sha256=sha256,
         byte_size=table.byte_size,
         row_count=table.row_count or 0,
         delivered_rows=delivered,
@@ -142,6 +143,7 @@ class _Run:
     table: RawTable
     emit: Callable[[Finding], None]
     classifier: MissingClassifier
+    parser: TimestampParser     # one per run: the type and temporal checks share its caches
     profiler: ProfileCollector
     consumers: list[RowConsumer] = dc_field(default_factory=list)
     wanted: dict[str, str] = dc_field(default_factory=dict)    # column -> config knob asking for it
@@ -175,7 +177,7 @@ def _run(cfg: AuditConfig, command: str, stages, write: bool) -> RunResult:
         agency_field=fm.agency,
         emit=emit,
     )
-    run = _Run(cfg, table, emit, classifier, profiler, consumers=[profiler])
+    run = _Run(cfg, table, emit, classifier, cfg.timestamp_parser(), profiler, consumers=[profiler])
 
     running = [stage(run) for stage in stages]
     for stage in running:
@@ -200,7 +202,7 @@ def _run(cfg: AuditConfig, command: str, stages, write: bool) -> RunResult:
         next(stage, None)
 
     result = _conclude(
-        cfg, command, table, sink, run.sections, stream.delivered,
+        cfg, command, table, stream.sha256, sink, run.sections, stream.delivered,
         profiles=profiler.profiles, pair_stats=run.pair_stats, plan=run.plan,
     )
     if write:
@@ -272,7 +274,7 @@ def _dictionary(run: _Run):
     key = cfg.field_map.key
     types = run.add(TypeChecker(
         dictionary,
-        parser=cfg.timestamp_parser(),
+        parser=run.parser,
         classifier=run.classifier,
         emit=run.emit,
         key_index=run.table.column_index(key) if key else None,
@@ -351,7 +353,7 @@ def _temporal(run: _Run):
         updated_field=fm.updated,
         key_field=fm.key,
         agency_field=fm.agency,
-        parser=cfg.timestamp_parser(),
+        parser=run.parser,
         rules=cfg.temporal,
         classifier=run.classifier,
         emit=run.emit,
@@ -549,7 +551,7 @@ def run_reduce_apply(
     )
     sections = {"plan": plan.as_dict(), "apply": applied.as_dict()}
     result = _conclude(
-        cfg, "reduce-apply", table, sink, sections, applied.rows_written,
+        cfg, "reduce-apply", table, applied.input_sha256, sink, sections, applied.rows_written,
         plan=plan, apply_result=applied,
     )
     if write:

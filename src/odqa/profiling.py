@@ -6,15 +6,27 @@ exact up to a configurable distinct cap; past the cap the column switches
 to a Space-Saving heavy-hitters sketch and the profile is flagged
 approximate. distinct then reports the cap as a lower bound.
 
-The consume loop runs once per cell of the input file, so it trades a
-little repetition for speed: the common present-value path is decided on
-the first character without any function call.
+consume only buffers the row. Every 256 rows, and once more in finish,
+the buffer is transposed with zip(*rows) and each column is counted with
+collections.Counter, so the per-cell work runs in C. Missing values are
+classified once per distinct value of the batch, raw size is the sum of
+len(v) * n, and per-agency presence is one Counter over the agencies of
+the rows whose cell is present. A column's batch counts merge into its
+exact counts only when the new distinct values cannot pass the cap;
+otherwise, and for columns already in the sketch, the batch's present
+values are replayed one by one in row order, so the row that crosses the
+cap and every sketch update are the same as counting cell by cell.
+Findings are emitted only in start and finish, so buffering cannot move
+them.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
-from dataclasses import dataclass, field as dc_field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .findings import Measurement, make_finding
@@ -25,6 +37,8 @@ log = logging.getLogger(__name__)
 DEFAULT_DISTINCT_CAP = 1_000_000
 DEFAULT_SKETCH_CAPACITY = 10_000
 DEFAULT_TOP_K = 20
+
+_BATCH_ROWS = 256   # rows buffered before their columns are counted
 
 TIER_MOSTLY = "mostly_empty"
 TIER_PARTIAL = "partially_empty"
@@ -183,6 +197,7 @@ class ProfileCollector(RowConsumer):
         n = table.width
         self._headers = list(table.headers)
         self._total = 0
+        self._rows: list[list[str]] = []
         self._present = [0] * n
         self._chars = [0] * n
         self._missing: list[dict[str, int]] = [{} for _ in range(n)]
@@ -203,66 +218,79 @@ class ProfileCollector(RowConsumer):
                 self._agency_idx = idx
 
     def consume(self, ordinal: int, row: list[str]) -> None:
-        self._total += 1
+        rows = self._rows
+        rows.append(row)
+        if len(rows) == _BATCH_ROWS:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Count the buffered rows column by column; see the module docstring."""
+        rows = self._rows
+        if not rows:
+            return
+        self._rows = []
+        self._total += len(rows)
         suspect = self._classifier.suspect_first
         kind_of = self._classifier.kind_of
-        present = self._present
-        chars = self._chars
-        missing = self._missing
-        counts = self._counts
-        sketches = self._sketches
-        agencies = self._agency
-        cap = self._cap
+        agencies = None
+        if self._agency_idx is not None:
+            agencies = [a if kind_of(a) is None else None for a in (row[self._agency_idx] for row in rows)]
 
-        ag_idx = self._agency_idx
-        agency = None
-        if ag_idx is not None:
-            a = row[ag_idx]
-            if a and (a[0] not in suspect or kind_of(a) is None):
-                agency = a
-
-        for i, v in enumerate(row):
-            if v:
-                chars[i] += len(v)
-                if v[0] in suspect:
-                    kind = kind_of(v)
-                    if kind is not None:
-                        m = missing[i]
-                        m[kind] = m.get(kind, 0) + 1
-                        continue
-            else:
-                m = missing[i]
-                m["empty"] = m.get("empty", 0) + 1
+        for i, column in enumerate(zip(*rows)):
+            self._chars[i] += sum(map(len, column))
+            present = Counter(column)
+            missing = self._missing[i]
+            for v in [v for v in present if not v or v[0] in suspect]:
+                kind = kind_of(v)
+                if kind is not None:
+                    missing[kind] = missing.get(kind, 0) + present.pop(v)
+            if not present:
                 continue
+            self._present[i] += sum(present.values())
 
-            present[i] += 1
-            if agency is not None:
-                d = agencies[i]
-                d[agency] = d.get(agency, 0) + 1
+            if agencies is not None:
+                per_agency = self._agency[i]
+                for a, n in Counter(compress(agencies, map(present.__contains__, column))).items():
+                    if a is not None:
+                        per_agency[a] = per_agency.get(a, 0) + n
 
-            c = counts[i]
-            if c is not None:
-                n = c.get(v)
+            counts = self._counts[i]
+            if counts is not None:
+                seen = present.keys() & counts.keys()   # `&` walks the smaller side
+                if len(counts) + len(present) - len(seen) <= self._cap:
+                    for v in seen:
+                        present[v] += counts[v]
+                    counts.update(present)
+                    continue
+            self._replay(i, filter(present.__contains__, column))
+
+    def _replay(self, i: int, values: Iterable[str]) -> None:
+        """Count present values one by one in row order, switching the
+        column to a sketch on the value that would pass the distinct cap."""
+        counts = self._counts[i]
+        sketch = self._sketches[i]
+        for v in values:
+            if counts is not None:
+                n = counts.get(v)
                 if n is not None:
-                    c[v] = n + 1
-                elif len(c) < cap:
-                    c[v] = 1
-                else:
-                    sketch = SpaceSavingSketch(self._sketch_capacity)
-                    sketch.seed(c)
-                    sketch.update(v)
-                    sketches[i] = sketch
-                    counts[i] = None
-            else:
-                sketches[i].update(v)
+                    counts[v] = n + 1
+                    continue
+                if len(counts) < self._cap:
+                    counts[v] = 1
+                    continue
+                sketch = self._sketches[i] = SpaceSavingSketch(self._sketch_capacity)
+                sketch.seed(counts)
+                counts = self._counts[i] = None
+            sketch.update(v)
 
     def finish(self) -> list[ColumnProfile]:
+        self._flush()
         out: list[ColumnProfile] = []
         for i, name in enumerate(self._headers):
             counts = self._counts[i]
             sketch = self._sketches[i]
             if counts is not None:
-                top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[: self._top_k]
+                top = heapq.nsmallest(self._top_k, counts.items(), key=lambda kv: (-kv[1], kv[0]))
                 distinct = len(counts)
                 approximate = False
             else:

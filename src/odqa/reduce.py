@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import PlanError
 from .findings import Measurement, make_finding
-from .ingest import DEFAULT_CLASSIFIER, MissingClassifier, RawTable, _LineFeed, open_table
+from .ingest import DEFAULT_CLASSIFIER, MissingClassifier, RawTable, _LineFeed
 from .profiling import ColumnProfile
 from .redundancy import ConcatStats, PairMatchStats
 
@@ -413,6 +413,7 @@ class ApplyResult:
     sidecar_bytes: int
     dictionary_bytes: int
     rows_written: int
+    input_sha256: str     # digest of the input, read by the apply pass; not in as_dict
 
     @property
     def measured_saved(self) -> int:
@@ -563,6 +564,7 @@ def apply_plan(
                     encode_out_chars[name] += code_width
                 main_writer.writerow(out_row)
                 rows_written += 1
+            input_sha256 = feed.sha256.hexdigest()
 
         for fh in opened:
             fh.close()
@@ -607,6 +609,7 @@ def apply_plan(
         sidecar_bytes=sidecar_bytes,
         dictionary_bytes=dict_bytes,
         rows_written=rows_written,
+        input_sha256=input_sha256,
     )
 
 

@@ -203,3 +203,12 @@ def test_configured_column_absent_is_exit_2(tmp_path, capsys):
     assert main(["audit", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "not in the header" in err and "fields.created" in err
+
+
+def test_empty_input_is_exit_2(tmp_path, capsys):
+    (tmp_path / "empty.csv").write_bytes(b"")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("input: empty.csv\nout_dir: out\n", encoding="utf-8")
+    assert main(["profile", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("odqa: error:") and "no header row" in err

@@ -1,12 +1,16 @@
 """Streaming CSV ingestion: framing, headers, missing-value vocabulary."""
 
+import hashlib
 import string
 
 import pytest
 from hypothesis import given, strategies as st
 
+from odqa.config import AuditConfig
+from odqa.errors import InputError
 from odqa.findings import FindingSink
 from odqa.ingest import (
+    BOM,
     DEFAULT_CLASSIFIER,
     MissingClassifier,
     RowConsumer,
@@ -14,6 +18,7 @@ from odqa.ingest import (
     open_table,
     stream_rows,
 )
+from odqa.pipeline import run_profile
 
 
 class Collect(RowConsumer):
@@ -215,3 +220,28 @@ def test_classifier_agrees_with_reference_table(raw):
     elif token.lower() == "null":
         expected = "null_literal"
     assert DEFAULT_CLASSIFIER.kind_of(raw) == expected
+
+
+# ---------------------------------------------------------------- digest
+
+@pytest.mark.parametrize("name,data", [
+    ("bom", BOM + b"a,b\n1,2\n3,4\n"),
+    ("crlf", b"a,b\r\n1,2\r\n3,4"),
+    ("malformed", b'a,b\ngood,row\nbad,"x"y\n5,6\nlast,"open\n'),
+    ("header_only", b"a,b\n"),
+    ("bom_crlf_multi_chunk", BOM + b"a,b\r\n" + b"".join(b"%d,%s\r\n" % (i, b"v" * 50) for i in range(40_000))),
+])
+def test_stream_digest_is_the_file_sha256(tmp_path, name, data):
+    p = tmp_path / f"{name}.csv"
+    p.write_bytes(data)
+    want = hashlib.sha256(p.read_bytes()).hexdigest()
+    assert stream_rows(open_table(p), []).sha256 == want
+    result = run_profile(AuditConfig(input_path=p, out_dir=tmp_path / "out"), write=False)
+    assert result.report.dataset_sha256 == want
+
+
+def test_empty_file_is_an_input_error(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_bytes(b"")
+    with pytest.raises(InputError, match="no header row"):
+        open_table(p)

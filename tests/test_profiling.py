@@ -1,5 +1,6 @@
 """Profiling tests: Counter oracles, sketch guarantees, tier boundaries."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -331,3 +332,84 @@ def test_collector_through_stream(write_csv):
     assert prof["status"].missing == {"empty": 1}
     assert prof["status"].per_agency_present == {"NYPD": 2}
     assert prof["agency"].total == 3
+
+
+# ------------------------------------------------------------------ batching
+
+def reference_profile(values, agencies, cap, capacity, top_k):
+    """One column counted cell by cell: Counter up to the row that would
+    pass the cap, then a sketch seeded there and updated in row order."""
+    kinds = [DEFAULT_CLASSIFIER.kind_of(v) for v in values]
+    present = [v for v, kind in zip(values, kinds) if kind is None]
+    seen: set[str] = set()
+    crossing = len(present)
+    for j, v in enumerate(present):
+        if v not in seen and len(seen) == cap:
+            crossing = j
+            break
+        seen.add(v)
+    counts = Counter(present[:crossing])
+    sketch = None
+    if crossing < len(present):
+        sketch = SpaceSavingSketch(capacity)
+        sketch.seed(dict(counts))
+        for v in present[crossing:]:
+            sketch.update(v)
+    per_agency = Counter(
+        a for a, kind in zip(agencies, kinds)
+        if kind is None and DEFAULT_CLASSIFIER.kind_of(a) is None
+    )
+    return {
+        "total": len(values),
+        "present": len(present),
+        "missing": dict(Counter(kind for kind in kinds if kind is not None)),
+        "distinct": cap if sketch else len(counts),
+        "approximate": sketch is not None,
+        "top_values": sketch.top(top_k) if sketch else sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k],
+        "per_agency_present": dict(per_agency),
+        "raw_chars": sum(map(len, values)),
+        "exact_counts": None if sketch else dict(counts),
+    }, sketch
+
+
+def batch_columns(n_rows, seed=7):
+    """A skewed column, a wide one, a mostly blank one and an agency."""
+    rnd = random.Random(seed)
+    blanks = ["", "NA", "N/A", "null", "  ", "<NA>"]
+    skewed = [rnd.choice(blanks) if rnd.random() < 0.1 else f"s{int(rnd.paretovariate(1.2))}"
+              for _ in range(n_rows)]
+    wide = [f"w{rnd.randrange(3 * n_rows + 1)}" for _ in range(n_rows)]
+    sparse = [rnd.choice(["x", "y"]) if rnd.random() < 0.05 else "" for _ in range(n_rows)]
+    agency = [rnd.choice(["NYPD", "DOT", "DSNY", "", "NA"]) for _ in range(n_rows)]
+    return {"agency": agency, "skewed": skewed, "wide": wide, "sparse": sparse}
+
+
+@pytest.mark.parametrize("n_rows,cap", [
+    (0, 10), (1, 10), (255, 1000), (256, 1000), (257, 1000),
+    (257, 30),       # "wide" passes the cap in the middle of the first batch
+    (700, 400),      # and here in the middle of the second
+    (700, 5),        # "skewed" passes it too; "wide" runs long in the sketch
+])
+def test_batched_profiles_match_cell_by_cell_reference(n_rows, cap):
+    columns = batch_columns(n_rows)
+    collector = ProfileCollector(distinct_cap=cap, sketch_capacity=20, top_k=7, agency_field="agency")
+    profiles = feed(collector, columns)
+    for i, (name, values) in enumerate(columns.items()):
+        want, sketch = reference_profile(values, columns["agency"], cap, 20, 7)
+        p = profiles[i]
+        got = {key: getattr(p, key) for key in want}
+        assert got == want, name
+        if sketch is not None:
+            kept = collector._sketches[i]
+            assert kept.top(20) == sketch.top(20)
+            assert [kept.error_of(v) for v, _ in sketch.top(20)] == [sketch.error_of(v) for v, _ in sketch.top(20)]
+    if n_rows >= 257 and cap <= 400:
+        assert profiles[2].approximate
+
+
+@pytest.mark.parametrize("cap,approximate", [(255, True), (256, False)])
+def test_cap_met_or_passed_by_the_last_row_of_a_batch(cap, approximate):
+    values = [f"v{j}" for j in range(256)]
+    (p,) = feed(ProfileCollector(distinct_cap=cap, sketch_capacity=300), {"v": values})
+    assert p.approximate is approximate
+    assert p.distinct == cap

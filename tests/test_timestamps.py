@@ -290,3 +290,117 @@ def test_local_timestamp_is_frozen():
     ts = parse_timestamp("2023-07-04 12:00:00")
     with pytest.raises(AttributeError):
         ts.seconds_of_day = 5
+
+
+# ------------------------------------------------------- day cache and memo
+
+# readings that probe a day: midnight, 01:00-03:45 every 15 minutes (where
+# US transitions fall), 12 AM / 12 PM and the last second
+PROBE_SECONDS = sorted({0, 12 * 3600, 86399, *range(3600, 4 * 3600, 900)})
+
+
+def transition_days(first_year, last_year):
+    """Every US spring and fall transition day under both rule eras."""
+    days = []
+    for y in range(first_year, last_year + 1):
+        if y >= 2007:
+            days += [dt.date(y, 3, sundays(y, 3)[1]), dt.date(y, 11, sundays(y, 11)[0])]
+        else:
+            days += [dt.date(y, 4, sundays(y, 4)[0]), dt.date(y, 10, sundays(y, 10)[-1])]
+    return days
+
+
+def resolved(rules, day, seconds):
+    """What the parser must return: ZoneRules.resolve on the naive epoch."""
+    naive = (day.toordinal() - dt.date(1970, 1, 1).toordinal()) * 86400 + seconds
+    return (day, seconds, *rules.resolve(naive))
+
+
+def parsed(ts):
+    return (ts.date, ts.seconds_of_day, ts.zone_status, ts.utc_candidates)
+
+
+def assert_parser_agrees_with_resolve(parser, days):
+    for day in days:
+        for seconds in PROBE_SECONDS:
+            wall = dt.datetime.combine(day, dt.time()) + dt.timedelta(seconds=seconds)
+            want = resolved(parser.rules, day, seconds)
+            for fmt in DEFAULT_TIMESTAMP_FORMATS:
+                raw = wall.strftime(fmt)
+                assert parsed(parser(raw)) == want, raw
+                assert parsed(parser(raw)) == want, raw      # memo hit
+
+
+def test_day_cache_agrees_with_resolve_on_every_us_transition_day():
+    days = transition_days(1986, 2041)
+    ordinary = [dt.date(1986, 1, 1), dt.date(1999, 12, 31), dt.date(2000, 2, 29),
+                dt.date(2023, 7, 4), dt.date(2041, 12, 31)]
+    around = [d + dt.timedelta(days=k) for d in days for k in (-1, 1)]
+    assert_parser_agrees_with_resolve(TimestampParser(), days + ordinary + around)
+    statuses = {parsed(TimestampParser()(d.strftime("%Y-%m-%d") + " 02:30:00"))[2] for d in days}
+    assert statuses == {ZoneStatus.UNAMBIGUOUS, ZoneStatus.DST_GAP_INVALID}
+
+
+# Two non-US tables. "southern": +10:00 / +11:00, switching at 02:00
+# standard and 03:00 daylight, then two changes at local midnight, one of
+# them by half an hour. "midnight": -03:00 / -02:00, switching at local
+# midnight both ways, so each fall-back fold reaches into the evening of
+# the day before.
+CUSTOM_RULES = {
+    "southern": (11 * 3600, 470, dt.date(2022, 3, 30), [
+        (naive_epoch(2022, 4, 2, 16), 10 * 3600),            # 03:00 +11 -> 02:00 +10
+        (naive_epoch(2022, 10, 1, 16), 11 * 3600),           # 02:00 +10 -> 03:00 +11
+        (naive_epoch(2023, 3, 4, 13), 10 * 3600 + 1800),     # 00:00 +11 -> 23:30 +10:30
+        (naive_epoch(2023, 6, 30, 13, 30), 11 * 3600),       # 00:00 +10:30 -> 00:30 +11
+    ]),
+    "midnight": (-3 * 3600, 400, dt.date(2018, 10, 1), [
+        (naive_epoch(2018, 11, 4, 3), -2 * 3600),            # 00:00 -03 -> 01:00 -02
+        (naive_epoch(2019, 2, 17, 2), -3 * 3600),            # 00:00 -02 -> 23:00 -03 the day before
+        (naive_epoch(2019, 9, 8, 3), -2 * 3600),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUSTOM_RULES))
+def test_day_cache_agrees_with_resolve_on_custom_rules(name):
+    initial, span, start, transitions = CUSTOM_RULES[name]
+    rules = ZoneRules(transitions, initial, name=name)
+    days = [start + dt.timedelta(days=k) for k in range(span)]
+    assert_parser_agrees_with_resolve(TimestampParser(rules=rules), days)
+
+
+def test_fixed_offset_is_none_only_near_transitions():
+    rules = us_eastern_rules()
+    midnight = naive_epoch(2023, 3, 12)
+    assert rules.fixed_offset(midnight, 86400) is None
+    assert rules.fixed_offset(midnight - 86400, 86400) == -5 * 3600
+    assert rules.fixed_offset(midnight + 86400, 86400) == -4 * 3600
+    assert ZoneRules((), 3600).fixed_offset(midnight, 86400) == 3600
+
+
+@pytest.mark.parametrize("raw,want", [
+    ("02/30/2023 01:00:00 AM", None),
+    ("13/01/2020 01:00:00 AM", dt.date(2020, 1, 13)),
+    ("00/10/2020 01:00:00 AM", None),
+    ("2020-13-01 01:00:00", dt.date(2020, 1, 13)),
+    ("2023-02-30 01:00:00", None),
+])
+def test_invalid_date_prefix_falls_through_to_the_next_format(raw, want):
+    parser = TimestampParser((
+        "%m/%d/%Y %I:%M:%S %p", "%Y-%m-%d %H:%M:%S",
+        "%d/%m/%Y %I:%M:%S %p", "%Y-%d-%m %H:%M:%S",
+    ))
+    later = raw.replace("01:00:00", "02:00:00")     # same prefix: a day-cache hit
+    for text in (raw, later, raw):
+        ts = parser(text)
+        assert (ts.date if ts else None) == want, text
+
+
+def test_memo_overflow_reparses_equal():
+    parser = TimestampParser()
+    first = parser("03/12/2023 02:30:00 AM")
+    for minute in range(100):
+        parser(f"06/01/2023 10:{minute % 60:02d}:{minute // 60:02d} AM")
+    again = parser("03/12/2023 02:30:00 AM")
+    assert again == first
+    assert again.zone_status is ZoneStatus.DST_GAP_INVALID
