@@ -13,12 +13,13 @@ import csv
 import logging
 import re
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import DictionaryLoadError
 from .findings import Finding, Measurement, make_finding
-from .ingest import MissingClassifier, DEFAULT_CLASSIFIER, RowConsumer, RawTable, normalize_header
+from .ingest import DEFAULT_CLASSIFIER, Batch, MissingClassifier, RawTable, RowConsumer, normalize_header
 from .timestamps import TimestampParser
 
 log = logging.getLogger(__name__)
@@ -233,12 +234,18 @@ class TypeReport:
     samples: dict[str, list] = dc_field(default_factory=dict)
 
 
+_PATTERNS = {"integer": _INT_RE, "decimal": _DEC_RE, "geo_point": _GEO_RE}
+
+
 class TypeChecker(RowConsumer):
     """Streams declared columns through per-type validators.
 
-    Missing cells never violate; violations are counted per field and
-    surfaced as one aggregated Finding per affected field at finish so a
-    systematically mistyped column cannot flood the report.
+    Each distinct present value of a batch is validated once: timestamps
+    through the batch's shared parse results, the other checked types by
+    a full match of the trimmed value. Missing cells never violate;
+    violations are counted per field and surfaced as one aggregated
+    Finding per affected field at finish so a systematically mistyped
+    column cannot flood the report.
     """
 
     SAMPLE_CAP = 5
@@ -258,50 +265,45 @@ class TypeChecker(RowConsumer):
         self._emit = emit
         self._key_index = key_index
         self.report = TypeReport()
-        self._checks: list[tuple[int, str, Callable[[str], bool]]] = []
-
-    def _validator(self, type_class: str) -> Callable[[str], bool] | None:
-        if type_class in ("text", "categorical"):
-            return None
-        if type_class == "integer":
-            return lambda v: _INT_RE.fullmatch(v.strip()) is not None
-        if type_class == "decimal":
-            return lambda v: _DEC_RE.fullmatch(v.strip()) is not None
-        if type_class == "geo_point":
-            return lambda v: _GEO_RE.fullmatch(v.strip()) is not None
-        if type_class == "timestamp":
-            parser = self._parser
-            return lambda v: parser(v) is not None
-        return None
+        # (column index, field, compiled pattern, or None for a timestamp)
+        self._checks: list[tuple[int, str, re.Pattern | None]] = []
 
     def start(self, table: RawTable) -> None:
         for idx, name in enumerate(table.headers):
             desc = self._dictionary.get(name)
-            if desc is None:
+            if desc is None or desc.type_class in ("text", "categorical"):
                 continue
-            fn = self._validator(desc.type_class)
-            if fn is not None:
-                self._checks.append((idx, name, fn))
-                self.report.checked[name] = 0
-                self.report.violations[name] = 0
-                self.report.samples[name] = []
+            self._checks.append((idx, name, _PATTERNS.get(desc.type_class)))
+            self.report.checked[name] = 0
+            self.report.violations[name] = 0
+            self.report.samples[name] = []
 
-    def consume(self, ordinal: int, row: list[str]) -> None:
-        kind_of = self._classifier.kind_of
-        for idx, name, fn in self._checks:
-            v = row[idx]
-            if kind_of(v) is not None:
+    def consume_batch(self, batch: Batch) -> None:
+        rep = self.report
+        classifier = self._classifier
+        for idx, name, pattern in self._checks:
+            counts = batch.counts(idx)
+            absent = batch.missing(idx, classifier)
+            values = [v for v in counts if v not in absent] if absent else list(counts)
+            if pattern is None:
+                parsed = batch.parsed(idx, classifier, self._parser)
+                verdicts = list(map(parsed.__getitem__, values))
+            else:
+                verdicts = list(map(pattern.fullmatch, map(str.strip, values)))
+            rep.checked[name] += len(batch.rows) - sum(map(counts.__getitem__, absent))
+            if all(verdicts):
                 continue
-            rep = self.report
-            rep.checked[name] += 1
-            if not fn(v):
-                rep.violations[name] += 1
-                sample = rep.samples[name]
-                if len(sample) < self.SAMPLE_CAP:
-                    if self._key_index is not None:
-                        sample.append((row[self._key_index] or ordinal, v))
-                    else:
-                        sample.append((ordinal, v))
+            bad = {v for v, ok in zip(values, verdicts) if not ok}
+            rep.violations[name] += sum(map(counts.__getitem__, bad))
+            sample = rep.samples[name]
+            if len(sample) == self.SAMPLE_CAP:
+                continue
+            keys = batch.columns[self._key_index] if self._key_index is not None else repeat("")
+            for ordinal, v, key in zip(batch.ordinals, batch.columns[idx], keys):
+                if v in bad:
+                    sample.append((key or ordinal, v))
+                    if len(sample) == self.SAMPLE_CAP:
+                        break
 
     def finish(self) -> TypeReport:
         if self._emit is not None:

@@ -14,10 +14,11 @@ import math
 import re
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Mapping, Sequence
 
 from .errors import ConfigError
 from .findings import Measurement, make_finding
-from .ingest import DEFAULT_CLASSIFIER, MissingClassifier, RawTable, RowConsumer
+from .ingest import DEFAULT_CLASSIFIER, Batch, MissingClassifier, RawTable, RowConsumer
 
 log = logging.getLogger(__name__)
 
@@ -50,6 +51,14 @@ def load_reference(path: str | Path) -> frozenset[str]:
     return frozenset(tokens)
 
 
+def _present_cell(batch: Batch, idx: int | None, n: int, classifier: MissingClassifier) -> str | None:
+    """Row n's cell in column idx; None when idx is None or the cell is missing."""
+    if idx is None:
+        return None
+    v = batch.columns[idx][n]
+    return None if v in batch.missing(idx, classifier) else v
+
+
 @dataclass
 class MembershipResult:
     field: str
@@ -67,65 +76,69 @@ class MembershipResult:
 
 
 class ReferenceChecker(RowConsumer):
-    """Flags present values outside a reference set, one finding each."""
+    """Flags present values outside each field's reference set, one finding each.
+
+    One checker serves every reference field, so its invalid_value
+    findings arrive in row order, fields in the given order within a row.
+    Each distinct value of a batch is looked up once.
+    """
 
     def __init__(
         self,
-        field: str,
-        reference: frozenset[str],
+        references: Mapping[str, frozenset[str]],
         *,
         classifier: MissingClassifier = DEFAULT_CLASSIFIER,
         key_field: str | None = None,
         agency_field: str | None = None,
         emit=None,
     ):
-        self.field = field
-        self.reference = reference
+        self.references = dict(references)
         self.classifier = classifier
         self.key_field = key_field
         self.agency_field = agency_field
         self._emit = emit if emit is not None else (lambda f: None)
-        self.result = MembershipResult(field)
+        self.results = {f: MembershipResult(f) for f in self.references}
 
     def start(self, table: RawTable) -> None:
-        idx = table.column_index(self.field)
-        if idx is None:
-            raise ValueError(f"reference check: field {self.field!r} not in header")
-        self._idx = idx
+        self._cols = []
+        for f, reference in self.references.items():
+            idx = table.column_index(f)
+            if idx is None:
+                raise ValueError(f"reference check: field {f!r} not in header")
+            self._cols.append((idx, reference, self.results[f]))
         self._ik = table.column_index(self.key_field) if self.key_field else None
         self._ia = table.column_index(self.agency_field) if self.agency_field else None
 
-    def consume(self, ordinal: int, row: list[str]) -> None:
-        v = row[self._idx]
-        if not v or self.classifier.kind_of(v) is not None:
-            return
-        res = self.result
-        res.checked += 1
-        if v in self.reference:
-            return
-        res.invalid += 1
-        res.invalid_values[v] = res.invalid_values.get(v, 0) + 1
-        agency = None
-        if self._ia is not None:
-            a = row[self._ia]
-            if a and self.classifier.kind_of(a) is None:
-                agency = a
-                res.by_agency_invalid[a] = res.by_agency_invalid.get(a, 0) + 1
-        locator = ordinal
-        if self._ik is not None:
-            key = row[self._ik]
-            if key and self.classifier.kind_of(key) is None:
-                locator = key
-        self._emit(make_finding(
-            "invalid_value",
-            f"{self.field!r} value {v!r} is not in the reference set",
-            fields=(self.field,),
-            row_locator=locator,
-            agency=agency,
-        ))
+    def consume_batch(self, batch: Batch) -> None:
+        classifier = self.classifier
+        flagged = []
+        for idx, reference, res in self._cols:
+            counts = batch.counts(idx)
+            absent = batch.missing(idx, classifier)
+            res.checked += len(batch.rows) - sum(map(counts.__getitem__, absent))
+            bad = counts.keys() - reference - absent.keys()
+            if bad:
+                flagged.append((batch.columns[idx], bad, res))
+        for n, ordinal in enumerate(batch.ordinals):
+            for column, bad, res in flagged:
+                v = column[n]
+                if v not in bad:
+                    continue
+                res.invalid += 1
+                res.invalid_values[v] = res.invalid_values.get(v, 0) + 1
+                agency = _present_cell(batch, self._ia, n, classifier)
+                if agency is not None:
+                    res.by_agency_invalid[agency] = res.by_agency_invalid.get(agency, 0) + 1
+                self._emit(make_finding(
+                    "invalid_value",
+                    f"{res.field!r} value {v!r} is not in the reference set",
+                    fields=(res.field,),
+                    row_locator=_present_cell(batch, self._ik, n, classifier) or ordinal,
+                    agency=agency,
+                ))
 
-    def finish(self) -> MembershipResult:
-        return self.result
+    def finish(self) -> dict[str, MembershipResult]:
+        return self.results
 
 
 @dataclass(frozen=True)
@@ -188,45 +201,34 @@ class GeoBoundsChecker(RowConsumer):
         self._ik = table.column_index(self.key_field) if self.key_field else None
         self._ia = table.column_index(self.agency_field) if self.agency_field else None
 
-    def consume(self, ordinal: int, row: list[str]) -> None:
-        raw_lat = row[self._ilat]
-        raw_lon = row[self._ilon]
-        kind_of = self.classifier.kind_of
-        if not raw_lat or not raw_lon or kind_of(raw_lat) is not None or kind_of(raw_lon) is not None:
-            return
-        try:
-            lat = float(raw_lat)
-            lon = float(raw_lon)
-        except ValueError:
-            self.result.unparsed += 1
-            return
-        if not (math.isfinite(lat) and math.isfinite(lon)):
-            self.result.unparsed += 1
-            return
+    def consume_batch(self, batch: Batch) -> None:
+        classifier = self.classifier
+        missing_lat = batch.missing(self._ilat, classifier)
+        missing_lon = batch.missing(self._ilon, classifier)
         res = self.result
-        res.pairs_checked += 1
-        if self.bounds.contains(lat, lon):
-            return
-        res.out_of_bounds += 1
-        agency = None
-        if self._ia is not None:
-            a = row[self._ia]
-            if a and kind_of(a) is None:
-                agency = a
-        locator = ordinal
-        if self._ik is not None:
-            key = row[self._ik]
-            if key and kind_of(key) is None:
-                locator = key
-        self._emit(make_finding(
-            "geo_out_of_bounds",
-            f"({raw_lat}, {raw_lon}) falls outside "
-            f"[{self.bounds.lat_min}, {self.bounds.lat_max}] x "
-            f"[{self.bounds.lon_min}, {self.bounds.lon_max}]",
-            fields=(self.lat_field, self.lon_field),
-            row_locator=locator,
-            agency=agency,
-        ))
+        for n, (raw_lat, raw_lon) in enumerate(zip(batch.columns[self._ilat], batch.columns[self._ilon])):
+            if raw_lat in missing_lat or raw_lon in missing_lon:
+                continue
+            try:
+                lat, lon = float(raw_lat), float(raw_lon)
+            except ValueError:
+                lat = lon = math.nan
+            if not (math.isfinite(lat) and math.isfinite(lon)):
+                res.unparsed += 1
+                continue
+            res.pairs_checked += 1
+            if self.bounds.contains(lat, lon):
+                continue
+            res.out_of_bounds += 1
+            self._emit(make_finding(
+                "geo_out_of_bounds",
+                f"({raw_lat}, {raw_lon}) falls outside "
+                f"[{self.bounds.lat_min}, {self.bounds.lat_max}] x "
+                f"[{self.bounds.lon_min}, {self.bounds.lon_max}]",
+                fields=(self.lat_field, self.lon_field),
+                row_locator=_present_cell(batch, self._ik, n, classifier) or batch.ordinals[n],
+                agency=_present_cell(batch, self._ia, n, classifier),
+            ))
 
     def finish(self) -> GeoResult:
         return self.result
@@ -242,80 +244,96 @@ class UniqueResult:
 
 
 class UniqueChecker(RowConsumer):
-    """Detects repeated values in a declared-unique column.
+    """Detects repeated values in declared-unique columns.
 
-    One Finding per duplicated value, listing every locator it appears
-    at. When the field is required, blank cells are violations too.
+    specs lists (field, required) pairs; one checker serves all of them,
+    so its missing_key findings arrive in row order, specs in the given
+    order within a row. One Finding per duplicated value, listing every
+    locator it appears at. When a field is required, blank cells are
+    violations too.
     """
 
     LOCATOR_CAP = 20
 
     def __init__(
         self,
-        field: str,
+        specs: Sequence[tuple[str, bool]],
         *,
-        required: bool = False,
         classifier: MissingClassifier = DEFAULT_CLASSIFIER,
         emit=None,
     ):
-        self.field = field
-        self.required = required
+        self.specs = list(specs)
         self.classifier = classifier
         self._emit = emit if emit is not None else (lambda f: None)
-        self.result = UniqueResult(field)
-        self._first_seen: dict[str, int] = {}
-        self._dups: dict[str, list[int]] = {}
+        self.results = [UniqueResult(f) for f, _ in self.specs]
 
     def start(self, table: RawTable) -> None:
-        idx = table.column_index(self.field)
-        if idx is None:
-            raise ValueError(f"uniqueness check: field {self.field!r} not in header")
-        self._idx = idx
+        self._state = []
+        for (f, required), res in zip(self.specs, self.results):
+            idx = table.column_index(f)
+            if idx is None:
+                raise ValueError(f"uniqueness check: field {f!r} not in header")
+            # column, required, result, first ordinal of each value, ordinals of each duplicate
+            self._state.append((idx, required, res, {}, {}))
 
-    def consume(self, ordinal: int, row: list[str]) -> None:
-        v = row[self._idx]
-        if not v or self.classifier.kind_of(v) is not None:
-            self.result.missing += 1
-            if self.required:
+    def consume_batch(self, batch: Batch) -> None:
+        ordinals = batch.ordinals
+        slow = []
+        for state in self._state:
+            idx, _required, res, first_seen, _dups = state
+            column = batch.columns[idx]
+            counts = batch.counts(idx)
+            if (len(counts) == len(column) and not batch.missing(idx, self.classifier)
+                    and first_seen.keys().isdisjoint(counts)):
+                first_seen.update(zip(column, ordinals))
+                res.total_present += len(column)
+            else:
+                slow.append((column, batch.missing(idx, self.classifier), state))
+        for n, ordinal in enumerate(ordinals):
+            for column, absent, (_idx, required, res, first_seen, dups) in slow:
+                v = column[n]
+                if v in absent:
+                    res.missing += 1
+                    if required:
+                        self._emit(make_finding(
+                            "missing_key",
+                            f"required unique field {res.field!r} is blank",
+                            fields=(res.field,),
+                            row_locator=ordinal,
+                        ))
+                    continue
+                res.total_present += 1
+                first = first_seen.get(v)
+                if first is None:
+                    first_seen[v] = ordinal
+                    continue
+                bucket = dups.get(v)
+                if bucket is None:
+                    dups[v] = [first, ordinal]
+                elif len(bucket) < self.LOCATOR_CAP:
+                    bucket.append(ordinal)
+                else:
+                    bucket.append(-1)  # sentinel: more beyond the cap
+
+    def finish(self) -> list[UniqueResult]:
+        for _idx, _required, res, _first_seen, dups in self._state:
+            res.duplicate_values = len(dups)
+            for value, ordinals in dups.items():
+                overflow = ordinals.count(-1)
+                shown = [o for o in ordinals if o != -1]
+                occurrences = len(ordinals)
+                res.duplicate_rows += occurrences
+                where = ", ".join(str(o) for o in shown)
+                if overflow:
+                    where += f", and {overflow} more"
                 self._emit(make_finding(
-                    "missing_key",
-                    f"required unique field {self.field!r} is blank",
-                    fields=(self.field,),
-                    row_locator=ordinal,
+                    "duplicate_key",
+                    f"{res.field!r} value {value!r} appears {occurrences} times (rows {where})",
+                    fields=(res.field,),
+                    row_locator=shown[0],
+                    measured=Measurement(occurrences, "occurrences"),
                 ))
-            return
-        self.result.total_present += 1
-        first = self._first_seen.get(v)
-        if first is None:
-            self._first_seen[v] = ordinal
-            return
-        bucket = self._dups.get(v)
-        if bucket is None:
-            self._dups[v] = [first, ordinal]
-        elif len(bucket) < self.LOCATOR_CAP:
-            bucket.append(ordinal)
-        else:
-            bucket.append(-1)  # sentinel: more beyond the cap
-
-    def finish(self) -> UniqueResult:
-        res = self.result
-        res.duplicate_values = len(self._dups)
-        for value, ordinals in self._dups.items():
-            overflow = ordinals.count(-1)
-            shown = [o for o in ordinals if o != -1]
-            occurrences = len(ordinals)
-            res.duplicate_rows += occurrences
-            where = ", ".join(str(o) for o in shown)
-            if overflow:
-                where += f", and {overflow} more"
-            self._emit(make_finding(
-                "duplicate_key",
-                f"{self.field!r} value {value!r} appears {occurrences} times (rows {where})",
-                fields=(self.field,),
-                row_locator=shown[0],
-                measured=Measurement(occurrences, "occurrences"),
-            ))
-        return res
+        return self.results
 
 
 _DECIMAL_TEXT_RE = re.compile(r"[+-]?[0-9]+(?:\.([0-9]+))?")
@@ -345,7 +363,8 @@ class PrecisionAudit:
 
 
 class PrecisionAuditor(RowConsumer):
-    """Histograms textual decimal precision for configured fields.
+    """Histograms textual decimal precision for configured fields, one
+    distinct value of a batch at a time, weighted by its count.
 
     Emits one aggregated Finding per field whose values exceed the
     plausible digit bound; per-row findings would just repeat the same
@@ -374,21 +393,21 @@ class PrecisionAuditor(RowConsumer):
                 raise ValueError(f"precision audit: field {f!r} not in header")
             self._cols.append((idx, self.results[f]))
 
-    def consume(self, ordinal: int, row: list[str]) -> None:
-        kind_of = self.classifier.kind_of
+    def consume_batch(self, batch: Batch) -> None:
         for idx, audit in self._cols:
-            v = row[idx]
-            if not v or kind_of(v) is not None:
-                continue
-            d = decimal_digits(v)
-            if d is None:
-                audit.non_decimal += 1
-                continue
-            audit.histogram[d] = audit.histogram.get(d, 0) + 1
-            if d > audit.max_decimals_seen:
-                audit.max_decimals_seen = d
-            if d > self.max_decimals:
-                audit.flagged += 1
+            absent = batch.missing(idx, self.classifier)
+            for v, n in batch.counts(idx).items():
+                if v in absent:
+                    continue
+                d = decimal_digits(v)
+                if d is None:
+                    audit.non_decimal += n
+                    continue
+                audit.histogram[d] = audit.histogram.get(d, 0) + n
+                if d > audit.max_decimals_seen:
+                    audit.max_decimals_seen = d
+                if d > self.max_decimals:
+                    audit.flagged += n
 
     def finish(self) -> dict[str, PrecisionAudit]:
         for f in self.fields:

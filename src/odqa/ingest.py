@@ -2,11 +2,14 @@
 
 Reads RFC 4180 files (comma delimiter, double-quote quoting with quote
 doubling, LF or CRLF line ends, UTF-8 with optional BOM) in bounded
-memory. A single pass drives any number of row consumers, so every audit
-check shares one read of the file. Rows reach consumers as plain lists of
-cell strings; presence/missingness is decided by a shared classifier
-rather than by wrapping every cell in an object, which keeps the per-cell
-cost low enough for multi-gigabyte inputs.
+memory. A single pass drives any number of consumers, so every audit
+check shares one read of the file. Delivered rows reach consumers in
+batches of BATCH_ROWS: stream_rows transposes each batch once, and the
+batch counts each column's distinct values, finds its missing values and
+parses its timestamps on first request, for every consumer at once. A
+consumer then judges each distinct value once and walks the rows only
+where findings must come out in row order, which keeps the per-cell cost
+low enough for multi-gigabyte inputs.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import csv
 import hashlib
 import logging
 import os
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -25,7 +29,8 @@ from .findings import Finding, make_finding
 log = logging.getLogger(__name__)
 
 BOM = b"\xef\xbb\xbf"
-_CHUNK = 1 << 20
+_CHUNK = 1 << 18    # _fill holds about four times this at once
+BATCH_ROWS = 256    # delivered rows per Batch; larger batches raise peak memory
 
 # canonical missing-value kinds, in reporting order
 MISSING_KINDS = ("empty", "whitespace", "NA", "N/A", "angle_NA", "null_literal")
@@ -131,17 +136,66 @@ class RawTable:
             return None
 
 
-class RowConsumer:
-    """Base class for streaming row consumers.
+class Batch:
+    """Up to BATCH_ROWS delivered rows, in stream order, and their columns.
 
-    start() runs once before the first row, consume() once per delivered
-    row with the 1-based data row ordinal, finish() once after the last.
+    ordinals holds the 1-based data row ordinal of each row and columns
+    the transpose of rows. counts, missing and parsed are computed on the
+    first request and kept only as long as the batch, so every consumer
+    shares them; callers must not mutate what they return.
+    """
+
+    __slots__ = ("ordinals", "rows", "columns", "_counts", "_missing", "_parsed")
+
+    def __init__(self, ordinals: list[int], rows: list[list[str]]):
+        self.ordinals = ordinals
+        self.rows = rows
+        self.columns = list(zip(*rows))
+        self._counts: dict[int, Counter] = {}
+        self._missing: dict[tuple, dict[str, str]] = {}
+        self._parsed: dict = {}
+
+    def counts(self, i: int) -> Counter:
+        """Each distinct value of column i and its count, in first-appearance order."""
+        counts = self._counts.get(i)
+        if counts is None:
+            counts = self._counts[i] = Counter(self.columns[i])
+        return counts
+
+    def missing(self, i: int, classifier: MissingClassifier) -> dict[str, str]:
+        """The missing values of column i mapped to their kind, in first-appearance order."""
+        key = (i, classifier)
+        missing = self._missing.get(key)
+        if missing is None:
+            suspect = classifier.suspect_first
+            kind_of = classifier.kind_of
+            missing = self._missing[key] = {
+                v: kind for v in self.counts(i)
+                if (not v or v[0] in suspect) and (kind := kind_of(v)) is not None
+            }
+        return missing
+
+    def parsed(self, i: int, classifier: MissingClassifier, parser: Callable[[str], object]) -> dict:
+        """parser's results for this batch, one dict shared by every column,
+        holding at least each present value of column i."""
+        done = self._parsed.setdefault(parser, {})
+        for v in self.counts(i).keys() - done.keys() - self.missing(i, classifier).keys():
+            done[v] = parser(v)
+        return done
+
+
+class RowConsumer:
+    """Base class for streaming consumers.
+
+    start() runs once before the first batch, consume_batch() once per
+    Batch of delivered rows, in stream order, finish() once after the
+    last.
     """
 
     def start(self, table: RawTable) -> None:  # noqa: B027 - optional hook
         pass
 
-    def consume(self, ordinal: int, row: list[str]) -> None:
+    def consume_batch(self, batch: Batch) -> None:
         raise NotImplementedError
 
     def finish(self):  # noqa: B027 - optional hook
@@ -284,11 +338,12 @@ def stream_rows(
 ) -> StreamResult:
     """Stream the table body through the consumers in one pass.
 
-    Rows whose cell count differs from the header width produce a ragged
-    Finding and are not delivered; rows the csv parser rejects produce a
-    quoting Finding carrying the byte offset of the record start. Both are
-    recoverable: the stream continues with the next record. Unreadable
-    files raise OSError.
+    Delivered rows reach each consumer in Batches of BATCH_ROWS, the last
+    one shorter. Rows whose cell count differs from the header width
+    produce a ragged Finding and are not delivered; rows the csv parser
+    rejects produce a quoting Finding carrying the byte offset of the
+    record start. Both are recoverable: the stream continues with the
+    next record. Unreadable files raise OSError.
     """
     consumers = list(consumers)
     sink = emit if emit is not None else (lambda f: None)
@@ -297,9 +352,14 @@ def stream_rows(
 
     width = table.width
     ordinal = 0
-    delivered = 0
     malformed = 0
     ragged = 0
+    ordinals: list[int] = []
+    rows: list[list[str]] = []
+
+    def deliver(batch: Batch) -> None:
+        for c in consumers:
+            c.consume_batch(batch)
 
     with open(table.path, "rb") as fh:
         feed = _LineFeed(fh)
@@ -337,13 +397,17 @@ def stream_rows(
                     row_locator=ordinal,
                 ))
                 continue
-            for c in consumers:
-                c.consume(ordinal, row)
-            delivered += 1
+            ordinals.append(ordinal)
+            rows.append(row)
+            if len(rows) == BATCH_ROWS:
+                deliver(Batch(ordinals, rows))
+                ordinals, rows = [], []
 
+    if rows:
+        deliver(Batch(ordinals, rows))
     table.row_count = ordinal
     for c in consumers:
         c.finish()
     if malformed or ragged:
         log.info("stream %s: %d malformed, %d ragged of %d records", table.path, malformed, ragged, ordinal)
-    return StreamResult(ordinal, delivered, malformed, ragged, feed.sha256.hexdigest())
+    return StreamResult(ordinal, ordinal - ragged, malformed, ragged, feed.sha256.hexdigest())

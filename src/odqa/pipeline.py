@@ -367,17 +367,17 @@ def _domain(run: _Run):
     cfg = run.cfg
     fm = cfg.field_map
     classifier, emit = run.classifier, run.emit
-    references = []
-    for field_name, ref_path in sorted(cfg.references.items()):
-        run.need("references", field_name)
-        references.append(run.add(ReferenceChecker(
-            field_name,
-            load_reference(ref_path),
+    references = None
+    if cfg.references:
+        fields = sorted(cfg.references)
+        run.need("references", *fields)
+        references = run.add(ReferenceChecker(
+            {f: load_reference(cfg.references[f]) for f in fields},
             classifier=classifier,
             key_field=fm.key,
             agency_field=fm.agency,
             emit=emit,
-        )))
+        ))
     geo = None
     if cfg.geo_bounds is not None:
         if not (fm.latitude and fm.longitude):
@@ -393,12 +393,12 @@ def _domain(run: _Run):
             agency_field=fm.agency,
             emit=emit,
         ))
-    uniques = []
-    for spec in cfg.unique:
-        run.need("unique", spec.field)
-        uniques.append(run.add(UniqueChecker(
-            spec.field, required=spec.required, classifier=classifier, emit=emit,
-        )))
+    uniques = None
+    if cfg.unique:
+        run.need("unique", *(spec.field for spec in cfg.unique))
+        uniques = run.add(UniqueChecker(
+            [(spec.field, spec.required) for spec in cfg.unique], classifier=classifier, emit=emit,
+        ))
     precision = None
     if cfg.precision_fields:
         run.need("precision.fields", *cfg.precision_fields)
@@ -407,7 +407,7 @@ def _domain(run: _Run):
         ))
     yield
     section: dict = {}
-    if references:
+    if references is not None:
         section["references"] = [
             {
                 "field": res.field,
@@ -417,7 +417,7 @@ def _domain(run: _Run):
                 "top_invalid": [[v, n] for v, n in res.top_invalid()],
                 "by_agency_invalid": dict(sorted(res.by_agency_invalid.items())),
             }
-            for res in (checker.result for checker in references)
+            for res in references.results.values()
         ]
     if geo is not None:
         g = geo.result
@@ -426,7 +426,7 @@ def _domain(run: _Run):
             "out_of_bounds": g.out_of_bounds,
             "unparsed": g.unparsed,
         }
-    if uniques:
+    if uniques is not None:
         section["unique"] = [
             {
                 "field": res.field,
@@ -435,7 +435,7 @@ def _domain(run: _Run):
                 "duplicate_values": res.duplicate_values,
                 "duplicate_rows": res.duplicate_rows,
             }
-            for res in (checker.result for checker in uniques)
+            for res in uniques.results
         ]
     if precision is not None:
         section["precision"] = [

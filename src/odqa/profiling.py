@@ -6,18 +6,15 @@ exact up to a configurable distinct cap; past the cap the column switches
 to a Space-Saving heavy-hitters sketch and the profile is flagged
 approximate. distinct then reports the cap as a lower bound.
 
-consume only buffers the row. Every 256 rows, and once more in finish,
-the buffer is transposed with zip(*rows) and each column is counted with
-collections.Counter, so the per-cell work runs in C. Missing values are
-classified once per distinct value of the batch, raw size is the sum of
-len(v) * n, and per-agency presence is one Counter over the agencies of
-the rows whose cell is present. A column's batch counts merge into its
-exact counts only when the new distinct values cannot pass the cap;
-otherwise, and for columns already in the sketch, the batch's present
-values are replayed one by one in row order, so the row that crosses the
-cap and every sketch update are the same as counting cell by cell.
-Findings are emitted only in start and finish, so buffering cannot move
-them.
+Each column is counted per Batch from the batch's shared value counts
+and missing values, so the per-cell work runs in C: missing kinds add up
+per distinct missing value, raw size is the sum of the cell lengths, and
+per-agency presence is one Counter over the agencies of the rows whose
+cell is present. A column's batch counts merge into its exact counts
+only when the new distinct values cannot pass the cap; otherwise, and
+for columns already in the sketch, the batch's present values are
+replayed one by one in row order, so the row that crosses the cap and
+every sketch update are the same as counting cell by cell.
 """
 
 from __future__ import annotations
@@ -30,15 +27,13 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .findings import Measurement, make_finding
-from .ingest import DEFAULT_CLASSIFIER, MissingClassifier, RawTable, RowConsumer
+from .ingest import DEFAULT_CLASSIFIER, Batch, MissingClassifier, RawTable, RowConsumer
 
 log = logging.getLogger(__name__)
 
 DEFAULT_DISTINCT_CAP = 1_000_000
 DEFAULT_SKETCH_CAPACITY = 10_000
 DEFAULT_TOP_K = 20
-
-_BATCH_ROWS = 256   # rows buffered before their columns are counted
 
 TIER_MOSTLY = "mostly_empty"
 TIER_PARTIAL = "partially_empty"
@@ -197,7 +192,6 @@ class ProfileCollector(RowConsumer):
         n = table.width
         self._headers = list(table.headers)
         self._total = 0
-        self._rows: list[list[str]] = []
         self._present = [0] * n
         self._chars = [0] * n
         self._missing: list[dict[str, int]] = [{} for _ in range(n)]
@@ -217,35 +211,28 @@ class ProfileCollector(RowConsumer):
             else:
                 self._agency_idx = idx
 
-    def consume(self, ordinal: int, row: list[str]) -> None:
-        rows = self._rows
-        rows.append(row)
-        if len(rows) == _BATCH_ROWS:
-            self._flush()
-
-    def _flush(self) -> None:
-        """Count the buffered rows column by column; see the module docstring."""
-        rows = self._rows
-        if not rows:
-            return
-        self._rows = []
-        self._total += len(rows)
-        suspect = self._classifier.suspect_first
-        kind_of = self._classifier.kind_of
+    def consume_batch(self, batch: Batch) -> None:
+        """Count the batch column by column; see the module docstring."""
+        self._total += len(batch.rows)
+        classifier = self._classifier
         agencies = None
         if self._agency_idx is not None:
-            agencies = [a if kind_of(a) is None else None for a in (row[self._agency_idx] for row in rows)]
+            agencies = batch.columns[self._agency_idx]
+            absent = batch.missing(self._agency_idx, classifier)
+            if absent:
+                agencies = [None if a in absent else a for a in agencies]
 
-        for i, column in enumerate(zip(*rows)):
+        for i, column in enumerate(batch.columns):
             self._chars[i] += sum(map(len, column))
-            present = Counter(column)
-            missing = self._missing[i]
-            for v in [v for v in present if not v or v[0] in suspect]:
-                kind = kind_of(v)
-                if kind is not None:
+            present = batch.counts(i)
+            absent = batch.missing(i, classifier)
+            if absent:
+                missing = self._missing[i]
+                present = present.copy()
+                for v, kind in absent.items():
                     missing[kind] = missing.get(kind, 0) + present.pop(v)
-            if not present:
-                continue
+                if not present:
+                    continue
             self._present[i] += sum(present.values())
 
             if agencies is not None:
@@ -258,9 +245,10 @@ class ProfileCollector(RowConsumer):
             if counts is not None:
                 seen = present.keys() & counts.keys()   # `&` walks the smaller side
                 if len(counts) + len(present) - len(seen) <= self._cap:
-                    for v in seen:
-                        present[v] += counts[v]
+                    prior = {v: counts[v] for v in seen}
                     counts.update(present)
+                    for v, n in prior.items():
+                        counts[v] += n
                     continue
             self._replay(i, filter(present.__contains__, column))
 
@@ -284,7 +272,6 @@ class ProfileCollector(RowConsumer):
             sketch.update(v)
 
     def finish(self) -> list[ColumnProfile]:
-        self._flush()
         out: list[ColumnProfile] = []
         for i, name in enumerate(self._headers):
             counts = self._counts[i]

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Mapping
 
 from .errors import ConfigError
 from .findings import Measurement, make_finding
-from .ingest import DEFAULT_CLASSIFIER, MissingClassifier, RawTable, RowConsumer
+from .ingest import DEFAULT_CLASSIFIER, Batch, MissingClassifier, RawTable, RowConsumer
 
 log = logging.getLogger(__name__)
 
@@ -85,7 +86,8 @@ class PairMatchStats:
 
 
 class PairCollector(RowConsumer):
-    """Streams any number of column pairs through match counting.
+    """Streams any number of column pairs through match counting, one
+    distinct value pair of a batch at a time.
 
     An optional normalizer per pair feeds the normalized match count;
     exact matches count as normalized matches without calling it, which
@@ -114,33 +116,24 @@ class PairCollector(RowConsumer):
             # counters: rows, both_blank, one_blank, both_present, exact, normalized
             self._cols.append([a, b, ia, ib, norm, [0, 0, 0, 0, 0, 0]])
 
-    def consume(self, ordinal: int, row: list[str]) -> None:
-        suspect = self._classifier.suspect_first
-        kind_of = self._classifier.kind_of
-        for spec in self._cols:
-            va = row[spec[2]]
-            vb = row[spec[3]]
-            c = spec[5]
-            c[0] += 1
-            a_blank = not va or (va[0] in suspect and kind_of(va) is not None)
-            b_blank = not vb or (vb[0] in suspect and kind_of(vb) is not None)
-            if a_blank:
-                if b_blank:
-                    c[1] += 1
+    def consume_batch(self, batch: Batch) -> None:
+        classifier = self._classifier
+        for _a, _b, ia, ib, norm, c in self._cols:
+            missing_a = batch.missing(ia, classifier)
+            missing_b = batch.missing(ib, classifier)
+            c[0] += len(batch.rows)
+            for (va, vb), n in Counter(zip(batch.columns[ia], batch.columns[ib])).items():
+                if va in missing_a:
+                    c[1 if vb in missing_b else 2] += n
+                elif vb in missing_b:
+                    c[2] += n
                 else:
-                    c[2] += 1
-                continue
-            if b_blank:
-                c[2] += 1
-                continue
-            c[3] += 1
-            if va == vb:
-                c[4] += 1
-                c[5] += 1
-            else:
-                norm = spec[4]
-                if norm is not None and norm(va) == norm(vb):
-                    c[5] += 1
+                    c[3] += n
+                    if va == vb:
+                        c[4] += n
+                        c[5] += n
+                    elif norm is not None and norm(va) == norm(vb):
+                        c[5] += n
 
     def finish(self) -> list[PairMatchStats]:
         out = []
@@ -226,17 +219,20 @@ class ConcatChecker(RowConsumer):
             )
         self._it, self._ia, self._ib = it, ia, ib
 
-    def consume(self, ordinal: int, row: list[str]) -> None:
-        vt = row[self._it]
-        va = row[self._ia]
-        vb = row[self._ib]
-        kind_of = self._classifier.kind_of
-        if kind_of(vt) is not None or kind_of(va) is not None or kind_of(vb) is not None:
-            return
+    def consume_batch(self, batch: Batch) -> None:
+        classifier = self._classifier
+        missing_t = batch.missing(self._it, classifier)
+        missing_a = batch.missing(self._ia, classifier)
+        missing_b = batch.missing(self._ib, classifier)
+        prefix, middle, suffix = self._prefix, self._middle, self._suffix
         s = self.stats
-        s.rows_considered += 1
-        if vt == f"{self._prefix}{va}{self._middle}{vb}{self._suffix}":
-            s.matches += 1
+        cols = batch.columns
+        for vt, va, vb in zip(cols[self._it], cols[self._ia], cols[self._ib]):
+            if vt in missing_t or va in missing_a or vb in missing_b:
+                continue
+            s.rows_considered += 1
+            if vt == f"{prefix}{va}{middle}{vb}{suffix}":
+                s.matches += 1
 
     def finish(self) -> ConcatStats:
         return self.stats
@@ -353,22 +349,23 @@ class FDChecker(RowConsumer):
             )
         self._ia, self._ib = ia, ib
 
-    def consume(self, ordinal: int, row: list[str]) -> None:
-        va = row[self._ia]
-        vb = row[self._ib]
-        kind_of = self._classifier.kind_of
-        if kind_of(va) is not None or kind_of(vb) is not None:
-            return
+    def consume_batch(self, batch: Batch) -> None:
+        missing_a = batch.missing(self._ia, self._classifier)
+        missing_b = batch.missing(self._ib, self._classifier)
         res = self.result
-        res.rows_checked += 1
-        expected = self._mapping.get(va)
-        if expected is None:
-            self._mapping[va] = vb
-        elif expected != vb:
-            res.violations += 1
-            res.holds = False
-            if len(res.examples) < FDResult.EXAMPLE_CAP:
-                res.examples.append((va, expected, vb))
+        mapping = self._mapping
+        for va, vb in zip(batch.columns[self._ia], batch.columns[self._ib]):
+            if va in missing_a or vb in missing_b:
+                continue
+            res.rows_checked += 1
+            expected = mapping.get(va)
+            if expected is None:
+                mapping[va] = vb
+            elif expected != vb:
+                res.violations += 1
+                res.holds = False
+                if len(res.examples) < FDResult.EXAMPLE_CAP:
+                    res.examples.append((va, expected, vb))
 
     def finish(self) -> FDResult:
         self.result.mapping_size = len(self._mapping)

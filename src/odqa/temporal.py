@@ -16,10 +16,11 @@ import datetime as dt
 import logging
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 from typing import Sequence
 
 from .findings import Measurement, make_finding
-from .ingest import DEFAULT_CLASSIFIER, MissingClassifier, RawTable, RowConsumer
+from .ingest import DEFAULT_CLASSIFIER, Batch, MissingClassifier, RawTable, RowConsumer
 from .timestamps import LocalTimestamp, TimestampParser, ZoneStatus
 
 log = logging.getLogger(__name__)
@@ -209,8 +210,7 @@ class DurationAuditor(RowConsumer):
 
     def start(self, table: RawTable) -> None:
         def need(name):
-            idx = table.column_index(name) if name else None
-            return idx
+            return table.column_index(name) if name else None
 
         self._ic = need(self.created_field)
         self._iz = need(self.closed_field)
@@ -221,163 +221,145 @@ class DurationAuditor(RowConsumer):
         self._iu = need(self.updated_field)
         self._ik = need(self.key_field)
         self._ia = need(self.agency_field)
-        self._hist_c = [0] * 24
-        self._hist_z = [0] * 24
+        self._hist = ([0] * 24, [0] * 24)      # created, closed
+        self._parsed = [0, 0]
         s = self.summary
         s.parse_failures = {self.created_field: 0, self.closed_field: 0}
         if self.updated_field:
             s.parse_failures[self.updated_field] = 0
-        self._parsed_c = 0
-        self._parsed_z = 0
 
-    def consume(self, ordinal: int, row: list[str]) -> None:
+    def consume_batch(self, batch: Batch) -> None:
         s = self.summary
         rules = self.rules
-        kind_of = self.classifier.kind_of
-        parse = self.parser
-
-        locator = ordinal
-        if self._ik is not None:
-            key = row[self._ik]
-            if key and kind_of(key) is None:
-                locator = key
-        agency = None
-        if self._ia is not None:
-            a = row[self._ia]
-            if a and kind_of(a) is None:
-                agency = a
-
-        ts_c = self._read(row[self._ic], self.created_field, locator, agency)
-        ts_z = self._read(row[self._iz], self.closed_field, locator, agency)
-
-        sentinel = False
-        if ts_c is not None:
-            self._parsed_c += 1
-            sod = ts_c.seconds_of_day
-            if sod % 3600 == 0:
-                self._hist_c[sod // 3600] += 1
-            if sod == 0:
-                s.midnight.count += 1
-                if agency:
-                    s.midnight.by_agency[agency] = s.midnight.by_agency.get(agency, 0) + 1
-            if ts_c.date in rules.sentinel_dates:
-                sentinel = True
-        if ts_z is not None:
-            self._parsed_z += 1
-            sod = ts_z.seconds_of_day
-            if sod % 3600 == 0:
-                self._hist_z[sod // 3600] += 1
-            if sod == 0:
-                s.midnight.count += 1
-                if agency:
-                    s.midnight.by_agency[agency] = s.midnight.by_agency.get(agency, 0) + 1
-            if ts_z.date in rules.sentinel_dates:
-                sentinel = True
-        if sentinel:
-            s.sentinel_rows += 1
-
-        if ts_c is not None and ts_z is not None:
-            seconds, explainable = pair_duration(ts_c, ts_z)
-            if seconds is None:
-                s.gap_pairs += 1
-            else:
-                days = seconds / 86400.0
-                if seconds < 0:
-                    s.negative += 1
-                    if sentinel:
-                        s.sentinel_and_negative += 1
-                    if explainable:
-                        s.dst_explainable_negatives += 1
-                    note = " (sign explainable by a DST fold)" if explainable else ""
-                    self._emit(make_finding(
-                        "negative_duration",
-                        f"closed precedes created by {-days:.2f} day(s){note}",
-                        fields=(self.created_field, self.closed_field),
-                        row_locator=locator,
-                        measured=Measurement(round(days, 6), "days"),
-                        agency=agency,
-                    ))
-                elif seconds == 0:
-                    s.zero += 1
-                    self._emit(make_finding(
-                        "zero_duration",
-                        "created and closed are equal to the second",
-                        fields=(self.created_field, self.closed_field),
-                        row_locator=locator,
-                        measured=Measurement(0.0, "days"),
-                        agency=agency,
-                    ))
-                if abs(seconds) > rules.extreme_cutoff_seconds:
-                    s.extreme += 1
-                    self._emit(make_finding(
-                        "extreme_duration",
-                        f"absolute duration {abs(days):.1f} day(s) exceeds the "
-                        f"{rules.extreme_cutoff_days}-day plausibility cutoff",
-                        fields=(self.created_field, self.closed_field),
-                        row_locator=locator,
-                        measured=Measurement(round(days, 6), "days"),
-                        agency=agency,
-                    ))
-                if not sentinel and abs(seconds) <= rules.extreme_cutoff_seconds:
-                    s.duration_count += 1
-                    day_bucket = seconds // 86400
-                    hist = s.duration_histogram_days
-                    hist[day_bucket] = hist.get(day_bucket, 0) + 1
-                    if s.min_seconds is None or seconds < s.min_seconds:
-                        s.min_seconds = seconds
-                    if s.max_seconds is None or seconds > s.max_seconds:
-                        s.max_seconds = seconds
-
+        classifier = self.classifier
+        parsed = batch.parsed(self._ic, classifier, self.parser)     # one dict for all three columns
+        batch.parsed(self._iz, classifier, self.parser)
         if self._iu is not None:
-            self._post_close(row[self._iu], ts_z, locator, agency)
+            batch.parsed(self._iu, classifier, self.parser)
 
-    def _read(self, raw: str, field: str, locator, agency) -> LocalTimestamp | None:
-        if self.classifier.kind_of(raw) is not None:
-            return None
-        ts = self.parser(raw)
-        s = self.summary
+        def column(idx):
+            """The column at idx and its missing values; None and {} when unmapped."""
+            if idx is None:
+                return repeat(None), {}
+            return batch.columns[idx], batch.missing(idx, classifier)
+
+        created, missing_c = column(self._ic)
+        closed, missing_z = column(self._iz)
+        updated, missing_u = column(self._iu)
+        keys, missing_k = column(self._ik)
+        agencies, missing_a = column(self._ia)
+        pair = (self.created_field, self.closed_field)
+        # per distinct reading: parsed counts, on-the-hour histograms, midnight count
+        for side, idx, missing in ((0, self._ic, missing_c), (1, self._iz, missing_z)):
+            for raw, n in batch.counts(idx).items():
+                ts = None if raw in missing else parsed[raw]
+                if ts is not None:
+                    self._parsed[side] += n
+                    sod = ts.seconds_of_day
+                    if sod % 3600 == 0:
+                        self._hist[side][sod // 3600] += n
+                    if sod == 0:
+                        s.midnight.count += n
+        # the parsed values a created or closed cell must report on
+        odd = {
+            raw for raw, ts in parsed.items()
+            if ts is None or ts.zone_status is ZoneStatus.DST_GAP_INVALID or ts.date in rules.sentinel_dates
+        }
+
+        for ordinal, raw_c, raw_z, raw_u, key, agency in zip(
+            batch.ordinals, created, closed, updated, keys, agencies,
+        ):
+            locator = ordinal if key is None or key in missing_k else key
+            if agency in missing_a:
+                agency = None
+            if raw_c in missing_c:
+                ts_c = None
+            else:
+                ts_c = parsed[raw_c]
+                if raw_c in odd:
+                    self._report(ts_c, raw_c, self.created_field, locator, agency)
+            if raw_z in missing_z:
+                ts_z = None
+            else:
+                ts_z = parsed[raw_z]
+                if raw_z in odd:
+                    self._report(ts_z, raw_z, self.closed_field, locator, agency)
+            sentinel = False
+            for ts in (ts_c, ts_z):
+                if ts is not None:
+                    if agency and ts.seconds_of_day == 0:
+                        s.midnight.by_agency[agency] = s.midnight.by_agency.get(agency, 0) + 1
+                    if ts.date in rules.sentinel_dates:
+                        sentinel = True
+            if sentinel:
+                s.sentinel_rows += 1
+
+            if ts_c is not None and ts_z is not None:
+                seconds, explainable = pair_duration(ts_c, ts_z)
+                if seconds is None:
+                    s.gap_pairs += 1
+                else:
+                    days = seconds / 86400.0
+                    if seconds < 0:
+                        s.negative += 1
+                        if sentinel:
+                            s.sentinel_and_negative += 1
+                        if explainable:
+                            s.dst_explainable_negatives += 1
+                        note = " (sign explainable by a DST fold)" if explainable else ""
+                        self._flag("negative_duration", f"closed precedes created by {-days:.2f} day(s){note}",
+                                   pair, locator, agency, days)
+                    elif seconds == 0:
+                        s.zero += 1
+                        self._flag("zero_duration", "created and closed are equal to the second",
+                                   pair, locator, agency, days)
+                    if abs(seconds) > rules.extreme_cutoff_seconds:
+                        s.extreme += 1
+                        self._flag("extreme_duration", f"absolute duration {abs(days):.1f} day(s) exceeds the "
+                                   f"{rules.extreme_cutoff_days}-day plausibility cutoff", pair, locator, agency, days)
+                    if not sentinel and abs(seconds) <= rules.extreme_cutoff_seconds:
+                        s.duration_count += 1
+                        day_bucket = seconds // 86400
+                        hist = s.duration_histogram_days
+                        hist[day_bucket] = hist.get(day_bucket, 0) + 1
+                        if s.min_seconds is None or seconds < s.min_seconds:
+                            s.min_seconds = seconds
+                        if s.max_seconds is None or seconds > s.max_seconds:
+                            s.max_seconds = seconds
+
+            if raw_u is not None and raw_u not in missing_u:
+                self._post_close(parsed[raw_u], raw_u, ts_z, locator, agency)
+
+    def _flag(self, rule: str, message: str, fields: tuple[str, ...], locator, agency,
+              days: float | None = None) -> None:
+        """Emit one row's finding, measured in days when days is given."""
+        self._emit(make_finding(
+            rule, message, fields=fields, row_locator=locator, agency=agency,
+            measured=None if days is None else Measurement(round(days, 6), "days"),
+        ))
+
+    def _report(self, ts: LocalTimestamp | None, raw: str, field: str, locator, agency) -> None:
+        """Findings for a present created or closed cell that parsed as ts."""
         if ts is None:
-            s.parse_failures[field] += 1
-            self._emit(make_finding(
-                "unparseable_timestamp",
-                f"{field!r} value {raw!r} matched no configured format",
-                fields=(field,),
-                row_locator=locator,
-                agency=agency,
-            ))
-            return None
-        if ts.zone_status is ZoneStatus.DST_GAP_INVALID:
-            self._emit(make_finding(
-                "dst_gap_invalid",
-                f"{field!r} reading {ts.isoformat()} falls in a spring-forward gap",
-                fields=(field,),
-                row_locator=locator,
-                agency=agency,
-            ))
-        if ts.date in self.rules.sentinel_dates:
-            self._emit(make_finding(
-                "sentinel_date",
-                f"{field!r} carries placeholder date {ts.date.isoformat()}",
-                fields=(field,),
-                row_locator=locator,
-                agency=agency,
-            ))
-        return ts
-
-    def _post_close(self, raw_updated: str, ts_z: LocalTimestamp | None, locator, agency) -> None:
-        s = self.summary
-        if self.classifier.kind_of(raw_updated) is not None:
+            self.summary.parse_failures[field] += 1
+            self._flag("unparseable_timestamp", f"{field!r} value {raw!r} matched no configured format",
+                       (field,), locator, agency)
             return
-        ts_u = self.parser(raw_updated)
+        if ts.zone_status is ZoneStatus.DST_GAP_INVALID:
+            self._flag("dst_gap_invalid", f"{field!r} reading {ts.isoformat()} falls in a spring-forward gap",
+                       (field,), locator, agency)
+        if ts.date in self.rules.sentinel_dates:
+            self._flag("sentinel_date", f"{field!r} carries placeholder date {ts.date.isoformat()}",
+                       (field,), locator, agency)
+
+    def _post_close(self, ts_u: LocalTimestamp | None, raw_updated: str, ts_z: LocalTimestamp | None,
+                    locator, agency) -> None:
+        s = self.summary
         if ts_u is None:
             s.parse_failures[self.updated_field] += 1
-            self._emit(make_finding(
-                "unparseable_timestamp",
-                f"{self.updated_field!r} value {raw_updated!r} matched no configured format",
-                fields=(self.updated_field,),
-                row_locator=locator,
-                agency=agency,
-            ))
+            self._flag("unparseable_timestamp",
+                       f"{self.updated_field!r} value {raw_updated!r} matched no configured format",
+                       (self.updated_field,), locator, agency)
             return
         if ts_z is None:
             return
@@ -389,37 +371,23 @@ class DurationAuditor(RowConsumer):
         out = s.post_close
         out.pairs_checked += 1
         rules = self.rules
+        days = lag / 86400.0
+        fields = (self.closed_field, self.updated_field)
         if abs(lag) > rules.extreme_cutoff_seconds:
             out.infeasible_count += 1
-            self._emit(make_finding(
-                "post_close_infeasible",
-                f"update lag {lag / 86400.0:.1f} day(s) exceeds the "
-                f"{rules.extreme_cutoff_days}-day cutoff; excluded from the distribution",
-                fields=(self.closed_field, self.updated_field),
-                row_locator=locator,
-                measured=Measurement(round(lag / 86400.0, 6), "days"),
-                agency=agency,
-            ))
+            self._flag("post_close_infeasible", f"update lag {days:.1f} day(s) exceeds the "
+                       f"{rules.extreme_cutoff_days}-day cutoff; excluded from the distribution",
+                       fields, locator, agency, days)
             return
         out.lag_histogram_days[lag // 86400] = out.lag_histogram_days.get(lag // 86400, 0) + 1
         if lag > rules.post_close_window_seconds:
             out.late_count += 1
-            self._emit(make_finding(
-                "post_close_update",
-                f"record updated {lag / 86400.0:.1f} day(s) after close "
-                f"(window {rules.post_close_window_days} days)",
-                fields=(self.closed_field, self.updated_field),
-                row_locator=locator,
-                measured=Measurement(round(lag / 86400.0, 6), "days"),
-                agency=agency,
-            ))
+            self._flag("post_close_update", f"record updated {days:.1f} day(s) after close "
+                       f"(window {rules.post_close_window_days} days)", fields, locator, agency, days)
 
     def finish(self) -> TemporalSummary:
         s = self.summary
-        for field, hist, parsed in (
-            (self.created_field, self._hist_c, self._parsed_c),
-            (self.closed_field, self._hist_z, self._parsed_z),
-        ):
+        for field, hist, parsed in zip((self.created_field, self.closed_field), self._hist, self._parsed):
             s.spike_parsed[field] = parsed
             if parsed < MIN_SPIKE_SAMPLE:
                 s.spikes[field] = None

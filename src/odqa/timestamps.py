@@ -13,17 +13,19 @@ November; 1987-2006: first Sunday in April to last Sunday in October)
 rather than read from a system tzdata, so results cannot drift with the
 host environment. Config can substitute an explicit transition list.
 
-Parsing is cached twice over, since an export repeats few days and each
-cell is read by more than one check. The two default formats go through
-a per-format day cache keyed by the date prefix raw[:10]: an entry holds
-the date, the naive epoch of its midnight and the day's UTC offset, which
-is None when a zone transition can touch that day
+The two default formats are parsed through a per-format day cache keyed
+by the date prefix raw[:10], since an export repeats few days: an entry
+holds the date, the naive epoch of its midnight and the day's UTC offset,
+which is None when a zone transition can touch that day
 (ZoneRules.fixed_offset). Only such days call ZoneRules.resolve. A prefix
 that is not a valid date is cached as a miss, so the next format is still
-tried. In front sits a 64-entry memo of whole strings, cleared when full,
-so a cell parsed again later in the same row costs one dict lookup.
-Date-only and other formats take the structural or strptime path on
-every call.
+tried; the cache is cleared when full, so garbage input cannot grow it
+without bound. The clock is read in two parts, raw[10:16] (" HH:MM") and
+raw[16:] (":SS AM" or ":SS"), each looked up in a fixed table of every
+valid part; text outside a table falls through to the next format.
+Whole strings are not cached here: the ingest Batch parses each distinct
+value once. Date-only and other formats take the structural or strptime
+path on every call.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def us_eastern_rules(first_year: int = 1987, last_year: int = 2040) -> ZoneRules
 
 def _date_mdy(p: str) -> dt.date | None:
     """"MM/DD/YYYY" as a date; None on mismatch."""
-    if p[2] != "/" or p[5] != "/":
+    if p[2] != "/" or p[5] != "/" or not p.isascii():
         return None
     mo, da, yr = p[0:2], p[3:5], p[6:10]
     if not (mo.isdigit() and da.isdigit() and yr.isdigit()):
@@ -192,7 +194,7 @@ def _date_mdy(p: str) -> dt.date | None:
 
 def _date_ymd(p: str) -> dt.date | None:
     """"YYYY-MM-DD" as a date; None on mismatch."""
-    if p[4] != "-" or p[7] != "-":
+    if p[4] != "-" or p[7] != "-" or not p.isascii():
         return None
     yr, mo, da = p[0:4], p[5:7], p[8:10]
     if not (yr.isdigit() and mo.isdigit() and da.isdigit()):
@@ -203,51 +205,22 @@ def _date_ymd(p: str) -> dt.date | None:
         return None
 
 
-def _clock_12h(raw: str) -> int | None:
-    """Seconds of day from " HH:MM:SS AM" at raw[10:22]; None on mismatch."""
-    if raw[10] != " " or raw[13] != ":" or raw[16] != ":" or raw[19] != " ":
-        return None
-    hh, mi, ss, ap = raw[11:13], raw[14:16], raw[17:19], raw[20:22]
-    if not (hh.isdigit() and mi.isdigit() and ss.isdigit()):
-        return None
-    try:
-        h, m, s = int(hh), int(mi), int(ss)
-    except ValueError:
-        return None
-    if not 1 <= h <= 12 or m > 59 or s > 59:
-        return None
-    if ap == "AM":
-        return h % 12 * 3600 + m * 60 + s
-    if ap == "PM":
-        return (h % 12 + 12) * 3600 + m * 60 + s
-    return None
+# every valid clock part and its seconds: " HH:MM" at raw[10:16], then
+# ":SS AM", ":SS PM" or ":SS" at raw[16:]
+_TWO_DIGITS = [f"{i:02d}" for i in range(60)]
+_HM_24H = {f" {_TWO_DIGITS[h]}:{mm}": h * 3600 + m * 60 for h in range(24) for m, mm in enumerate(_TWO_DIGITS)}
+_HM_12H = {k: v % 43200 for k, v in _HM_24H.items() if " 01" <= k[:3] <= " 12"}    # 12 reads as 0
+_SEC_24H = {f":{ss}": s for s, ss in enumerate(_TWO_DIGITS)}
+_SEC_12H = {f"{k} {ap}": s + pm for k, s in _SEC_24H.items() for ap, pm in (("AM", 0), ("PM", 43200))}
 
-
-def _clock_24h(raw: str) -> int | None:
-    """Seconds of day from " HH:MM:SS" at raw[10:19]; None on mismatch."""
-    if raw[10] != " " or raw[13] != ":" or raw[16] != ":":
-        return None
-    hh, mi, ss = raw[11:13], raw[14:16], raw[17:19]
-    if not (hh.isdigit() and mi.isdigit() and ss.isdigit()):
-        return None
-    try:
-        h, m, s = int(hh), int(mi), int(ss)
-    except ValueError:
-        return None
-    if h > 23 or m > 59 or s > 59:
-        return None
-    return h * 3600 + m * 60 + s
-
-
-# date-and-time formats parsed through the day cache:
-# format -> (string length, date of raw[:10], seconds of day of raw)
+# date-and-time formats parsed through the day cache and the clock tables:
+# format -> (string length, date of raw[:10], raw[10:16] table, raw[16:] table)
 _TIMESTAMP_SHAPES = {
-    "%m/%d/%Y %I:%M:%S %p": (22, _date_mdy, _clock_12h),
-    "%Y-%m-%d %H:%M:%S": (19, _date_ymd, _clock_24h),
+    "%m/%d/%Y %I:%M:%S %p": (22, _date_mdy, _HM_12H, _SEC_12H),
+    "%Y-%m-%d %H:%M:%S": (19, _date_ymd, _HM_24H, _SEC_24H),
 }
 _DATE_SHAPES = {"%Y-%m-%d": _date_ymd, "%m/%d/%Y": _date_mdy}
 
-_MEMO_SIZE = 64             # whole strings; catches a cell parsed again in the same row
 _DAY_CACHE_SIZE = 1 << 15   # date prefixes per format; about 90 years of days
 _UNSEEN = object()
 
@@ -269,37 +242,26 @@ def _wall(raw: str, fmt: str) -> tuple[dt.date, int] | None:
 
 class TimestampParser:
     """Parses raw strings against an ordered format list and zone rules,
-    through the memo and day cache described in the module docstring."""
+    through the caches described in the module docstring."""
 
     def __init__(self, formats: Sequence[str] = DEFAULT_TIMESTAMP_FORMATS, rules: ZoneRules | None = None):
         if not formats:
             raise ValueError("at least one timestamp format is required")
         self.formats = tuple(formats)
         self.rules = rules if rules is not None else us_eastern_rules()
-        self._memo: dict[str, LocalTimestamp | None] = {}
         # per format: (format, shape or None, its day cache)
         self._plan = [(fmt, _TIMESTAMP_SHAPES.get(fmt), {}) for fmt in self.formats]
 
     def __call__(self, raw: str) -> LocalTimestamp | None:
-        memo = self._memo
-        ts = memo.get(raw, _UNSEEN)
-        if ts is _UNSEEN:
-            ts = self._parse(raw)
-            if len(memo) >= _MEMO_SIZE:
-                memo.clear()
-            memo[raw] = ts
-        return ts
-
-    def _parse(self, raw: str) -> LocalTimestamp | None:
         for fmt, shape, days in self._plan:
             if shape is None:
                 wall = _wall(raw, fmt)
                 if wall is not None:
-                    d, seconds = wall
-                    status, candidates = self.rules.resolve(_epoch(d, seconds))
-                    return LocalTimestamp(d, seconds, status, candidates)
+                    d, sod = wall
+                    status, candidates = self.rules.resolve(_epoch(d, sod))
+                    return LocalTimestamp(d, sod, status, candidates)
                 continue
-            length, date_of, clock_of = shape
+            length, date_of, clocks, seconds = shape
             if len(raw) != length:
                 continue
             prefix = raw[:10]
@@ -309,16 +271,16 @@ class TimestampParser:
                 if len(days) >= _DAY_CACHE_SIZE:
                     days.clear()
                 days[prefix] = day
-            if day is None:
-                continue
-            seconds = clock_of(raw)
-            if seconds is None:
+            hm = clocks.get(raw[10:16])
+            sec = seconds.get(raw[16:])
+            if day is None or hm is None or sec is None:
                 continue
             d, midnight, offset = day
+            sod = hm + sec
             if offset is not None:
-                return LocalTimestamp(d, seconds, ZoneStatus.UNAMBIGUOUS, (midnight + seconds - offset,))
-            status, candidates = self.rules.resolve(midnight + seconds)
-            return LocalTimestamp(d, seconds, status, candidates)
+                return LocalTimestamp(d, sod, ZoneStatus.UNAMBIGUOUS, (midnight + sod - offset,))
+            status, candidates = self.rules.resolve(midnight + sod)
+            return LocalTimestamp(d, sod, status, candidates)
         return None
 
     def _day(self, d: dt.date | None) -> tuple[dt.date, int, int | None] | None:

@@ -4,23 +4,25 @@ from pathlib import Path
 import pytest
 
 from odqa.generator import generate_fixture
-from odqa.ingest import RawTable
+from odqa.ingest import BATCH_ROWS, Batch, RawTable
 
 
 def feed(consumer, columns: dict[str, list[str]]):
     """Stream an in-memory table through a consumer, as stream_rows does.
 
     columns maps each header to its cell values, all of one length. Calls
-    start, then consume once per row with the 1-based ordinal, then finish,
-    and returns what finish returns.
+    start, then consume_batch once per BATCH_ROWS rows (1-based ordinals),
+    then finish, and returns what finish returns.
     """
     headers = list(columns)
     table = RawTable(
         path=Path("<memory>"), raw_headers=headers, headers=headers, byte_size=0, has_bom=False,
     )
     consumer.start(table)
-    for ordinal, row in enumerate(zip(*columns.values(), strict=True), start=1):
-        consumer.consume(ordinal, list(row))
+    rows = [list(row) for row in zip(*columns.values(), strict=True)]
+    for lo in range(0, len(rows), BATCH_ROWS):
+        chunk = rows[lo:lo + BATCH_ROWS]
+        consumer.consume_batch(Batch(list(range(lo + 1, lo + 1 + len(chunk))), chunk))
     return consumer.finish()
 
 

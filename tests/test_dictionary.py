@@ -21,6 +21,8 @@ from odqa.errors import DictionaryLoadError
 from odqa.ingest import open_table, stream_rows
 from odqa.timestamps import TimestampParser
 
+from conftest import feed
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -335,14 +337,10 @@ def test_type_checker_sample_cap(tmp_path):
     ("geo_point", ["(40.7, -73.9)", "( 40 , -73 )", "(40.7,-73.9)"],
      ["40.7, -73.9", "(40.7; -73.9)", "(40.7, -73.9", "(, )"]),
 ])
-def test_validators(type_class, good, bad, tmp_path):
+def test_validators(type_class, good, bad):
     d = DataDictionary([FieldDescriptor(name="v", type_class=type_class)])
-    checker = TypeChecker(d, parser=TimestampParser())
-    p = tmp_path / "v.csv"
-    p.write_text("v\nx\n", encoding="utf-8")
-    checker.start(open_table(p))
-    fn = checker._checks[0][2]
-    for v in good:
-        assert fn(v), (type_class, v)
-    for v in bad:
-        assert not fn(v), (type_class, v)
+    report = feed(TypeChecker(d, parser=TimestampParser()), {"v": good + bad})
+    present_bad = [v for v in bad if v]     # "" is missing, so never validated
+    assert report.checked["v"] == len(good) + len(present_bad)
+    assert report.violations["v"] == len(present_bad)
+    assert [v for _, v in report.samples["v"]] == present_bad[:TypeChecker.SAMPLE_CAP]

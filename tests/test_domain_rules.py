@@ -44,8 +44,8 @@ ZIPS = frozenset({"10001", "10002", "11201"})
 def test_membership_counts_and_findings():
     values = ["10001", "99999", "", "NA", "11201", "99999", "00000"]
     findings = []
-    checker = ReferenceChecker("incident_zip", ZIPS, emit=findings.append)
-    res = feed(checker, {"incident_zip": values})
+    checker = ReferenceChecker({"incident_zip": ZIPS}, emit=findings.append)
+    res = feed(checker, {"incident_zip": values})["incident_zip"]
     assert res.checked == 5                     # blanks and sentinels skipped
     assert res.invalid == 3
     assert res.invalid_values == {"99999": 2, "00000": 1}
@@ -56,21 +56,21 @@ def test_membership_counts_and_findings():
 
 
 def test_membership_rate_undefined_when_nothing_checked():
-    res = feed(ReferenceChecker("zip", ZIPS), {"zip": ["", "NA"]})
+    res = feed(ReferenceChecker({"zip": ZIPS}), {"zip": ["", "NA"]})["zip"]
     assert res.invalid_rate is None
 
 
 def test_reference_checker_streaming_with_key_and_agency():
     got = []
     checker = ReferenceChecker(
-        "incident_zip", ZIPS, key_field="unique_key", agency_field="agency",
+        {"incident_zip": ZIPS}, key_field="unique_key", agency_field="agency",
         emit=got.append,
     )
     res = feed(checker, {
         "unique_key": ["K1", "K2", ""],
         "agency": ["NYPD", "DOT", "NA"],
         "incident_zip": ["10001", "99999", "88888"],
-    })
+    })["incident_zip"]
     assert res.checked == 3 and res.invalid == 2
     assert res.by_agency_invalid == {"DOT": 1}
     assert got[0].row_locator == "K2" and got[0].agency == "DOT"
@@ -79,7 +79,7 @@ def test_reference_checker_streaming_with_key_and_agency():
 
 def test_reference_checker_requires_field():
     with pytest.raises(ValueError):
-        feed(ReferenceChecker("zip", ZIPS), {"a": [], "b": []})
+        feed(ReferenceChecker({"zip": ZIPS}), {"a": [], "b": []})
 
 
 # ------------------------------------------------------------------ geo box
@@ -153,7 +153,7 @@ def test_geo_checker_streaming():
 def test_check_unique_reports_each_duplicated_value_once():
     values = ["A", "B", "A", "C", "A", "B", "", "NA"]
     findings = []
-    res = feed(UniqueChecker("unique_key", emit=findings.append), {"unique_key": values})
+    [res] = feed(UniqueChecker([("unique_key", False)], emit=findings.append), {"unique_key": values})
     assert res.total_present == 6
     assert res.missing == 2
     assert res.duplicate_values == 2
@@ -169,8 +169,8 @@ def test_check_unique_reports_each_duplicated_value_once():
 def test_check_unique_required_flags_blanks():
     values = ["A", "", "NA", "B"]
     findings = []
-    checker = UniqueChecker("unique_key", required=True, emit=findings.append)
-    res = feed(checker, {"unique_key": values})
+    checker = UniqueChecker([("unique_key", True)], emit=findings.append)
+    [res] = feed(checker, {"unique_key": values})
     assert res.missing == 2
     assert [f.rule_id for f in findings] == ["missing_key", "missing_key"]
     assert [f.row_locator for f in findings] == [2, 3]
@@ -178,7 +178,7 @@ def test_check_unique_required_flags_blanks():
 
 def test_unique_locator_cap():
     findings = []
-    res = feed(UniqueChecker("key", emit=findings.append), {"key": ["X"] * 25})
+    [res] = feed(UniqueChecker([("key", False)], emit=findings.append), {"key": ["X"] * 25})
     assert res.duplicate_values == 1
     assert res.duplicate_rows == 25
     f = findings[0]
@@ -191,7 +191,7 @@ def test_unique_locator_cap():
 
 @given(st.lists(st.sampled_from(["A", "B", "C", "D", "", "NA"]), max_size=40))
 def test_unique_agrees_with_counter(values):
-    res = feed(UniqueChecker("key"), {"key": values})
+    [res] = feed(UniqueChecker([("key", False)]), {"key": values})
     present = [v for v in values if v not in ("", "NA")]
     counts = Counter(present)
     assert res.total_present == len(present)
@@ -203,7 +203,7 @@ def test_unique_agrees_with_counter(values):
 
 def test_unique_checker_requires_field():
     with pytest.raises(ValueError):
-        feed(UniqueChecker("key"), {"a": []})
+        feed(UniqueChecker([("key", False)]), {"a": []})
 
 
 # ----------------------------------------------------------------- precision

@@ -10,6 +10,7 @@ from odqa.config import AuditConfig
 from odqa.errors import InputError
 from odqa.findings import FindingSink
 from odqa.ingest import (
+    _CHUNK,
     BOM,
     DEFAULT_CLASSIFIER,
     MissingClassifier,
@@ -25,8 +26,8 @@ class Collect(RowConsumer):
     def __init__(self):
         self.rows = []
 
-    def consume(self, ordinal, row):
-        self.rows.append((ordinal, list(row)))
+    def consume_batch(self, batch):
+        self.rows.extend(zip(batch.ordinals, batch.rows))
 
 
 def read_all(path, emit=None):
@@ -238,6 +239,26 @@ def test_stream_digest_is_the_file_sha256(tmp_path, name, data):
     assert stream_rows(open_table(p), []).sha256 == want
     result = run_profile(AuditConfig(input_path=p, out_dir=tmp_path / "out"), write=False)
     assert result.report.dataset_sha256 == want
+
+
+def test_quoted_newlines_straddling_a_read_chunk(tmp_path):
+    # the quoted field starts 20 bytes before the first chunk ends and holds
+    # a newline every other byte, so the chunk boundary falls between two of them
+    head = b"a,b\n"
+    filler = b"".join(b"%07d,f\n" % i for i in range((_CHUNK - 20 - len(head)) // 10 - 1))
+    pad = b"p" * (_CHUNK - 20 - len(head) - len(filler) - 3) + b",f\n"
+    quoted = "\n".join(["q"] * 30)
+    data = head + filler + pad + b'"' + quoted.encode() + b'",2\n' + b"last,3\n"
+    assert len(head + filler + pad) == _CHUNK - 20
+    p = tmp_path / "straddle.csv"
+    p.write_bytes(data)
+    table, rows, result = read_all(p)
+    body = rows[-3:]
+    assert body[0][1] == [pad[:-3].decode(), "f"]
+    assert body[1][1] == [quoted, "2"]
+    assert body[2][1] == ["last", "3"]
+    assert [o for o, _ in rows] == list(range(1, len(rows) + 1))
+    assert result.sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
 
 
 def test_empty_file_is_an_input_error(tmp_path):

@@ -404,3 +404,44 @@ def test_memo_overflow_reparses_equal():
     again = parser("03/12/2023 02:30:00 AM")
     assert again == first
     assert again.zone_status is ZoneStatus.DST_GAP_INVALID
+
+
+# ------------------------------------------------------------ clock tables
+
+@pytest.mark.parametrize("raw", [
+    "01/02/2023 13:00:00 PM",
+    "01/02/2023 00:30:00 AM",
+    "01/02/2023 12:60:00 PM",
+    "01/02/2023 11:59:60 AM",
+    "01/02/2023 11:59:59 am",
+    "2023-01-02 24:00:00",
+    "01/02/2023 \uff11\uff11:59:59 AM",       # full-width digits in the hour
+    "01/02/2023 11:59:\uff15\uff19 AM",       # and in the seconds
+    "\uff10\uff11/02/2023 11:59:59 AM",       # and in the date
+    "2023-01-02 \uff12\uff13:00:00",
+])
+def test_invalid_clock_falls_through_after_its_other_half_parsed(raw):
+    parser = TimestampParser()
+    # valid readings sharing the date and either clock half of each string above
+    assert parser("01/02/2023 11:59:59 AM") is not None
+    assert parser("01/02/2023 12:00:00 PM") is not None
+    assert parser("2023-01-02 23:00:00") is not None
+    assert parser(raw) is None
+    later = TimestampParser(DEFAULT_TIMESTAMP_FORMATS + ("%d/%m/%Y %H:%M:%S %p",))
+    assert later(raw) == parse_timestamp(raw, ("%d/%m/%Y %H:%M:%S %p",))
+
+
+def test_seconds_and_meridiem_share_the_hour_minute_part():
+    rules = us_eastern_rules()
+    parser = TimestampParser()
+    for raw, wall in (
+        ("11/05/2023 01:30:15 AM", (2023, 11, 5, 1, 30, 15)),
+        ("11/05/2023 01:30:45 PM", (2023, 11, 5, 13, 30, 45)),
+        ("03/12/2023 02:30:00 AM", (2023, 3, 12, 2, 30, 0)),
+        ("03/12/2023 02:30:59 PM", (2023, 3, 12, 14, 30, 59)),
+        ("2023-11-05 01:30:15", (2023, 11, 5, 1, 30, 15)),
+        ("2023-11-05 01:30:45", (2023, 11, 5, 1, 30, 45)),
+    ):
+        ts = parser(raw)
+        assert (ts.zone_status, ts.utc_candidates) == rules.resolve(naive_epoch(*wall)), raw
+        assert ts.naive_epoch() == naive_epoch(*wall)
