@@ -332,6 +332,8 @@ def load_config(path: str | Path) -> AuditConfig:
     precision = _require_mapping(data.get("precision"), "precision")
     _check_keys(precision, _PRECISION_KEYS, "precision")
     cfg.precision_fields = tuple(_as_str_list(precision.get("fields"), "precision.fields"))
+    if twice := [f for i, f in enumerate(cfg.precision_fields) if f in cfg.precision_fields[:i]]:
+        raise ConfigError(f"precision.fields: {twice[0]!r} is listed twice")
     cfg.max_decimals = int(precision.get("max_decimals", DEFAULT_MAX_DECIMALS))
 
     unique_specs: list[UniqueSpec] = []

@@ -380,6 +380,8 @@ class PrecisionAuditor(RowConsumer):
         emit=None,
     ):
         self.fields = list(fields)
+        if twice := [f for i, f in enumerate(self.fields) if f in self.fields[:i]]:
+            raise ValueError(f"precision audit: field {twice[0]!r} listed twice")
         self.max_decimals = max_decimals
         self.classifier = classifier
         self._emit = emit if emit is not None else (lambda f: None)

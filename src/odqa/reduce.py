@@ -1,23 +1,24 @@
 """Storage reduction: plan, apply, reconstruct.
 
-A plan is an ordered list of drop / segregate / encode actions built
-from profiles and pair statistics, with per-action byte estimates and a
-lossless/lossy label; lossy drops must be acknowledged in config by
-field name or planning fails. Applying a plan is one streaming pass that
-writes the reduced main file plus sidecars (sparse columns keyed by the
-unique key) and dictionary files (encoded columns), all with
-deterministic bytes. Reconstruction inverts a lossless plan for
-verification.
+A plan lists drop / segregate / encode actions built from profiles and
+pair statistics, with byte estimates and a lossless label; lossy drops
+must be acknowledged in config. Apply writes, in one pass, the reduced
+main file, sidecars (sparse columns keyed by the unique key) and
+dictionaries (encoded columns); reconstruct inverts a lossless plan.
+Both build whole columns of REDUCE_BATCH_ROWS rows and write each row
+through _write_columns, quoting what csv.writer was seen to quote.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 from dataclasses import dataclass, field as dc_field
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import PlanError
 from .findings import Measurement, make_finding
@@ -27,6 +28,7 @@ from .redundancy import ConcatStats, PairMatchStats
 
 log = logging.getLogger(__name__)
 
+REDUCE_BATCH_ROWS = 64      # apply/rebuild batch; 256 rows of 1.1 KB raised peak RSS by 2%
 DEFAULT_SPARSE_THRESHOLD = 99.0
 DEFAULT_ENCODE_CAP = 100_000
 
@@ -35,6 +37,61 @@ PLAN_SCHEMA_VERSION = 1
 
 class EncodeCapExceeded(PlanError):
     pass
+
+
+def _csv_line(field: str) -> str:
+    csv.writer(buf := io.StringIO(), lineterminator="\n").writerow([field])
+    return buf.getvalue()[:-1]      # what csv.writer writes for a row of one field, minus the LF
+
+
+# csv.writer quotes a field for its dialect's characters, all ASCII here, and
+# writes a row of one empty field quoted so that it is not a blank line
+_QUOTED = "".join(c for c in map(chr, range(128)) if _csv_line(c) != c)
+_ONE_EMPTY = _csv_line("")
+
+
+def _quoted(column: Sequence[str]) -> Sequence[str]:
+    """The column with the fields csv.writer would quote quoted, found by C scans."""
+    joined = "\x00".join(column)
+    found = [c for c in _QUOTED if c in joined]
+    if not found:
+        return column
+    flags = zip(*[map(str.__contains__, column, repeat(c)) for c in found])
+    return ['"' + v.replace('"', '""') + '"' if any(f) else v for v, f in zip(column, flags)]
+
+
+def _write_columns(fh, columns: Sequence[Sequence[str]], rows: int) -> None:
+    """Write `rows` rows given as equal-length columns, byte for byte as
+    csv.writer(fh, lineterminator="\\n").writerows would."""
+    if not columns:
+        return fh.write("\n" * rows)       # a row of no fields is a blank line
+    columns = [_quoted(c) for c in columns]
+    if len(columns) == 1:
+        columns[0] = [v or _ONE_EMPTY for v in columns[0]]
+    fh.writelines(map(str.__add__, map(",".join, zip(*columns)), repeat("\n")))
+
+
+def _column_batches(records: Iterable[list[str]], width: int, suffix: str):
+    """Yield (rows before, row count, columns) per REDUCE_BATCH_ROWS records.
+    At a record of another width (zip would cut every column to it) or one the
+    csv reader rejects, the rows before it are yielded first, then it raises."""
+    done, n = 0, REDUCE_BATCH_ROWS
+    while n == REDUCE_BATCH_ROWS:
+        rows, failure = [], None
+        try:
+            rows.extend(islice(records, REDUCE_BATCH_ROWS))
+        except csv.Error as exc:
+            failure = exc
+        n = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+        if n < len(rows):
+            failure = PlanError(f"row {done + n + 1}: {len(rows[n])} cells, expected {width}{suffix}")
+        columns = list(zip(*rows[:n]))
+        del rows
+        if n:
+            yield done, n, columns
+        if failure:
+            raise failure
+        done += n
 
 
 def code_width_for(entry_count: int) -> int:
@@ -55,17 +112,13 @@ class ValueDictionary:
     def code_width(self) -> int:
         return code_width_for(len(self.entries))
 
-    def codes(self) -> dict[str, str]:
+    def code_list(self) -> list[str]:    # the code of each entry, in entry order
         width = self.code_width
-        return {v: str(i).zfill(width) for i, v in enumerate(self.entries)}
+        return [str(i).zfill(width) for i in range(len(self.entries))]
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["code", "value"])
-            width = self.code_width
-            for i, v in enumerate(self.entries):
-                w.writerow([str(i).zfill(width), v])
+            _write_columns(fh, [["code", *self.code_list()], ["value", *self.entries]], len(self.entries) + 1)
 
     @classmethod
     def read_csv(cls, field: str, path: str | Path) -> "ValueDictionary":
@@ -449,15 +502,14 @@ def apply_plan(
     classifier: MissingClassifier = DEFAULT_CLASSIFIER,
     main_name: str = "reduced.csv",
 ) -> ApplyResult:
-    """Execute a plan in one streaming pass.
+    """Execute a plan in one streaming pass of REDUCE_BATCH_ROWS-row batches.
 
-    Output bytes depend only on input bytes and the plan: fixed LF line
-    ends, minimal quoting, dictionary codes assigned in first-appearance
-    order and padded to the width the plan recorded at profiling time.
-    Per-action measured savings are filled into the plan actions as a
-    side effect. Structural mismatches (plan fields missing from the
-    table, segregation without a key, a code width the observed values
-    no longer fit) abort, removing any partial outputs.
+    Kept columns pass through; an encoded column is coded once per distinct
+    value, in first-appearance order at the planned width. Output bytes
+    depend only on input and plan. Measured savings are filled into the
+    plan actions. A structural mismatch aborts, as does the first ragged
+    row, blank key under segregation or outgrown code space in row order,
+    removing any partial outputs.
     """
     _validate_plan(plan)
     out = Path(out_dir)
@@ -487,7 +539,7 @@ def apply_plan(
     kept_idx = [index_of[name] for name in kept]
     kept_pos = {name: pos for pos, name in enumerate(kept)}
 
-    # per-encode state: (position in output row, name, mapping, code cache, width)
+    # per-encode state: (position among kept columns, name, value -> code, code width, code count)
     encoders = []
     for name, action in encodes.items():
         width = action.details.get("code_width") or 1
@@ -496,7 +548,6 @@ def apply_plan(
     removed_chars = {name: 0 for name in removed}
     encode_in_chars = {name: 0 for name in encodes}
     encode_out_chars = {name: 0 for name in encodes}
-    drop_cols = [(index_of[name], name) for name in drops]
 
     main_path = out / main_name
     sidecar_paths = {name: out / f"{name}.sidecar.csv" for name in segregates}
@@ -508,62 +559,54 @@ def apply_plan(
     try:
         main_fh = open(main_path, "w", newline="", encoding="utf-8")
         opened.append(main_fh)
-        main_writer = csv.writer(main_fh, lineterminator="\n")
-        main_writer.writerow(kept)
+        _write_columns(main_fh, [[name] for name in kept], 1)
         side_cols = []
         for name, p in sidecar_paths.items():
             fh = open(p, "w", newline="", encoding="utf-8")
             opened.append(fh)
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["unique_key", name])
-            side_cols.append((index_of[name], name, w))
+            _write_columns(fh, [["unique_key"], [name]], 1)
+            side_cols.append((index_of[name], name, fh))
 
         with open(table.path, "rb") as fh:
             feed = _LineFeed(fh)
             reader = csv.reader(feed, strict=True)
             next(reader)  # header
-            width = len(headers)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise PlanError(
-                        f"row {rows_written + 1}: {len(row)} cells, expected {width}; "
-                        f"audit and repair before reducing"
-                    )
-                for col_idx, name, writer in side_cols:
-                    v = row[col_idx]
-                    removed_chars[name] += len(v)
-                    if v and kind_of(v) is None:
-                        key = row[key_idx]
-                        if not key or kind_of(key) is not None:
-                            raise PlanError(
-                                f"row {rows_written + 1}: blank {key_field!r} under segregation"
-                            )
-                        writer.writerow([key, v])
-                for col_idx, name in drop_cols:
-                    removed_chars[name] += len(row[col_idx])
-                out_row = [row[i] for i in kept_idx]
-                for pos, name, mapping, code_width, limit in encoders:
-                    v = out_row[pos]
-                    encode_in_chars[name] += len(v)
-                    if not v or kind_of(v) is not None:
-                        out_row[pos] = ""
-                        continue
-                    code = mapping.get(v)
-                    if code is None:
-                        n = len(mapping)
-                        if n >= limit:
-                            raise EncodeCapExceeded(
-                                f"{name!r}: value {v!r} does not fit the planned "
-                                f"{code_width}-digit code space; the file changed since planning"
-                            )
-                        code = str(n).zfill(code_width)
-                        mapping[v] = code
-                    out_row[pos] = code
-                    encode_out_chars[name] += code_width
-                main_writer.writerow(out_row)
-                rows_written += 1
+            records = filter(None, reader)      # a blank line is not a record
+            for done, n, columns in _column_batches(records, len(headers), "; audit and repair before reducing"):
+                for name in removed:
+                    removed_chars[name] += sum(map(len, columns[index_of[name]]))
+                # (row in batch, check order, error); the first in row-major order is raised
+                refusals = []
+                for order, (col_idx, name, side_fh) in enumerate(side_cols):
+                    col = columns[col_idx]
+                    present = {v for v in dict.fromkeys(col) if v and kind_of(v) is None}
+                    hits = [i for i, v in enumerate(col) if v in present] if present else []
+                    keys = [columns[key_idx][i] for i in hits]
+                    blank = next((i for i, k in zip(hits, keys) if not k or kind_of(k) is not None), None)
+                    if blank is not None:
+                        refusals.append((blank, order, PlanError(
+                            f"row {done + blank + 1}: blank {key_field!r} under segregation"
+                        )))
+                    _write_columns(side_fh, [keys, [col[i] for i in hits]], len(hits))
+                out_cols = [columns[i] for i in kept_idx]
+                for order, (pos, name, mapping, code_width, limit) in enumerate(encoders, len(side_cols)):
+                    col = out_cols[pos]
+                    encode_in_chars[name] += sum(map(len, col))
+                    for v in dict.fromkeys(col):
+                        if v not in mapping and v and kind_of(v) is None:
+                            if len(mapping) >= limit:
+                                refusals.append((col.index(v), order, EncodeCapExceeded(
+                                    f"{name!r}: value {v!r} does not fit the planned "
+                                    f"{code_width}-digit code space; the file changed since planning"
+                                )))
+                                break
+                            mapping[v] = str(len(mapping)).zfill(code_width)
+                    out_cols[pos] = codes = list(map(mapping.get, col, repeat("")))
+                    encode_out_chars[name] += code_width * (n - codes.count(""))
+                if refusals:
+                    raise min(refusals, key=lambda r: r[:2])[2]
+                _write_columns(main_fh, out_cols, n)
+                rows_written = done + n
             input_sha256 = feed.sha256.hexdigest()
 
         for fh in opened:
@@ -622,12 +665,12 @@ def reconstruct_table(
     dictionary_paths: dict[str, str | Path],
     key_field: str,
 ) -> None:
-    """Invert a lossless reduction for verification.
+    """Invert a lossless reduction for verification, REDUCE_BATCH_ROWS rows at a time.
 
-    Dropped duplicate columns are rebuilt from their source, concat
-    targets from their template, segregated columns from sidecars,
-    encoded columns from dictionaries. A plan containing a lossy drop
-    cannot be reconstructed and raises PlanError.
+    Drops are rebuilt from their source or template, segregated columns
+    from sidecars, encoded columns from dictionaries. PlanError refuses a
+    lossy drop, and names the 1-based row of a reduced row whose width
+    differs from its header or of a cell not coded in its dictionary.
     """
     plan_headers = plan.headers
     drops = plan.actions_of("drop")
@@ -638,19 +681,17 @@ def reconstruct_table(
     side_maps: dict[str, dict[str, str]] = {}
     for action in plan.actions_of("segregate"):
         name = action.field
-        side_maps[name] = {}
         with open(sidecar_paths[name], newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["unique_key", name]:
                 raise PlanError(f"sidecar for {name!r} has header {header}")
-            for key, value in reader:
-                side_maps[name][key] = value
+            side_maps[name] = dict(reader)
 
-    decoders: dict[str, tuple[str, ...]] = {}
+    decoders: dict[str, dict[str, str]] = {}
     for action in plan.actions_of("encode"):
         vd = ValueDictionary.read_csv(action.field, dictionary_paths[action.field])
-        decoders[action.field] = vd.entries
+        decoders[action.field] = {"": "", **dict(zip(vd.code_list(), vd.entries))}
 
     with open(main_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -658,13 +699,13 @@ def reconstruct_table(
         kept_pos = {name: i for i, name in enumerate(kept)}
         if key_field not in kept_pos:
             raise PlanError(f"key field {key_field!r} missing from reduced file")
-        drop_builders = []
+        builders: dict[str, tuple] = {}
         for action in drops:
             if "duplicate_of" in action.details:
                 src = action.details["duplicate_of"]
                 if src not in kept_pos:
                     raise PlanError(f"cannot rebuild {action.field!r}: source {src!r} was removed too")
-                drop_builders.append((action.field, ("copy", kept_pos[src])))
+                builders[action.field] = ("copy", kept_pos[src])
             else:
                 a, b = action.details["concat_of"]
                 template = action.details["template"]
@@ -672,39 +713,34 @@ def reconstruct_table(
                 middle, suffix = rest.split("{b}", 1)
                 if a not in kept_pos or b not in kept_pos:
                     raise PlanError(f"cannot rebuild {action.field!r}: sources were removed")
-                drop_builders.append(
-                    (action.field, ("concat", kept_pos[a], kept_pos[b], prefix, middle, suffix))
-                )
-        builders = dict(drop_builders)
+                builders[action.field] = ("concat", kept_pos[a], kept_pos[b], prefix, middle, suffix)
 
         with open(out_path, "w", newline="", encoding="utf-8") as out_fh:
-            writer = csv.writer(out_fh, lineterminator="\n")
-            writer.writerow(plan.raw_headers if plan.raw_headers is not None else plan_headers)
-            for row in reader:
-                key = row[kept_pos[key_field]]
-                out_row = []
+            header = plan.raw_headers if plan.raw_headers is not None else plan_headers
+            _write_columns(out_fh, [[name] for name in header], 1)
+            for done, n, columns in _column_batches(reader, len(kept), f" in {main_path}"):
+                keys = columns[kept_pos[key_field]]
+                out_cols = []
                 for name in plan_headers:
                     pos = kept_pos.get(name)
                     if pos is not None:
-                        v = row[pos]
-                        entries = decoders.get(name)
-                        if entries is not None and v:
-                            out_row.append(entries[int(v)])
-                        else:
-                            out_row.append(v)
-                        continue
-                    side = side_maps.get(name)
-                    if side is not None:
-                        out_row.append(side.get(key, ""))
-                        continue
-                    builder = builders[name]
-                    if builder[0] == "copy":
-                        out_row.append(row[builder[1]])
+                        col = columns[pos]
+                        decode = decoders.get(name)
+                        if decode is not None:
+                            col = list(map(decode.get, col))
+                            if None in col:
+                                i = col.index(None)
+                                raise PlanError(f"{main_path}: row {done + i + 1}: {name!r} cell "
+                                                f"{columns[pos][i]!r} is not a code in its dictionary")
+                        out_cols.append(col)
+                    elif name in side_maps:
+                        out_cols.append(list(map(side_maps[name].get, keys, repeat(""))))
+                    elif builders[name][0] == "copy":
+                        out_cols.append(columns[builders[name][1]])
                     else:
-                        _, ia, ib, prefix, middle, suffix = builder
-                        va, vb = row[ia], row[ib]
-                        if va and vb:
-                            out_row.append(f"{prefix}{va}{middle}{vb}{suffix}")
-                        else:
-                            out_row.append("")
-                writer.writerow(out_row)
+                        _, ia, ib, prefix, middle, suffix = builders[name]
+                        out_cols.append([
+                            f"{prefix}{va}{middle}{vb}{suffix}" if va and vb else ""
+                            for va, vb in zip(columns[ia], columns[ib])
+                        ])
+                _write_columns(out_fh, out_cols, n)

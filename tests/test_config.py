@@ -82,6 +82,7 @@ def test_unknown_keys_are_fatal(tmp_path, text, fragment):
     ("severity_overrides: {ragged_row: loud}\n", "unknown severity"),
     ("sample_cap: 0\n", "must be >= 1"),
     ("report: {formats: [json, yaml]}\n", "unknown format"),
+    ("precision: {fields: [latitude, longitude, latitude]}\n", "'latitude' is listed twice"),
 ])
 def test_invalid_values_are_fatal(tmp_path, text, fragment):
     with pytest.raises(ConfigError, match=fragment):

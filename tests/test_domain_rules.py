@@ -271,6 +271,14 @@ def test_precision_auditor_multi_field():
     assert [f.fields[0] for f in got] == ["latitude", "longitude"]
 
 
+def test_precision_auditor_refuses_a_field_listed_twice():
+    # counting it twice would double its histogram and its finding
+    with pytest.raises(ValueError, match="'lat' listed twice"):
+        PrecisionAuditor(["lat", "lat"], 2)
+    audit = feed(PrecisionAuditor(["lat"], 2), {"lat": ["1.234", "5.6"]})["lat"]
+    assert audit.histogram == {3: 1, 1: 1} and audit.flagged == 1
+
+
 def test_precision_auditor_requires_fields():
     with pytest.raises(ValueError):
         feed(PrecisionAuditor(["nope"]), {"a": []})

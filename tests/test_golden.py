@@ -1,12 +1,13 @@
 """Golden digests of every output on the seeded 10k fixture.
 
 Each of the five commands runs on `fixture_10k` with the audit config
-plus an encode plan; reduce-apply runs the plan that reduce-plan wrote.
-Every file a command writes is digested, and report.json also section by
-section, so a failure names the part that moved. Paths differ between
-machines, so before hashing the output directory and the fixture
-directory are replaced by placeholders and the config digest (a hash
-over those paths) by another.
+plus an encode plan; reduce-apply runs the plan that reduce-plan wrote,
+and `reconstruct_table` rebuilds the input from what reduce-apply wrote.
+Every file a command writes is digested, the rebuilt file too, and
+report.json also section by section, so a failure names the part that
+moved. Paths differ between machines, so before hashing the output
+directory and the fixture directory are replaced by placeholders and the
+config digest (a hash over those paths) by another.
 
 A change that alters an output on purpose re-records the table: run
 `PYTHONPATH=src python tests/test_golden.py` and paste what it prints.
@@ -21,6 +22,7 @@ from pathlib import Path
 from odqa import pipeline
 from odqa.config import load_config
 from odqa.generator import generate_fixture
+from odqa.reduce import reconstruct_table
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).parent))
@@ -110,6 +112,7 @@ GOLDEN = {
     "reduce-apply/report.json:severity_totals": "44136fa355b3678a",
     "reduce-apply/status.dict.csv": "711023f5a9c3d61d",
     "reduce-apply/taxi_company_borough.sidecar.csv": "d9a97c7ebcd6921c",
+    "rebuild/rebuilt.csv": "b4d7721359980e95",
 }
 
 
@@ -137,7 +140,7 @@ def golden_digests(fixture, work: Path) -> dict[str, str]:
     for command, run in runs:
         cfg = load_config(config_path)
         cfg.out_dir = work / command
-        run(cfg)
+        result = run(cfg)
         for path in sorted(cfg.out_dir.iterdir()):
             text = path.read_text(encoding="utf-8")
             text = text.replace(str(cfg.out_dir), "<out>").replace(str(fixture.csv_path.parent), "<input>")
@@ -148,6 +151,14 @@ def golden_digests(fixture, work: Path) -> dict[str, str]:
                 sections = report.pop("sections")
                 for key, value in sorted({**report, **{f"sections.{k}": v for k, v in sections.items()}}.items()):
                     out[f"{command}/report.json:{key}"] = _digest(json.dumps(value, sort_keys=True))
+    applied = result.apply_result      # reduce-apply ran last
+    rebuilt = work / "rebuilt.csv"
+    reconstruct_table(
+        result.plan, applied.main_path, rebuilt,
+        sidecar_paths=applied.sidecar_paths, dictionary_paths=applied.dictionary_paths,
+        key_field=cfg.field_map.key,
+    )
+    out["rebuild/rebuilt.csv"] = _digest(rebuilt.read_text(encoding="utf-8"))
     return out
 
 

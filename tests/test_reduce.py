@@ -86,7 +86,7 @@ def test_encode_column_first_appearance_order(tmp_path):
     assert vd.entries == ("Closed", "Open", "Pending")
     assert encoded == ["0", "1", "0", "", "", "2"]
     assert vd.code_width == 1
-    assert vd.codes() == {"Closed": "0", "Open": "1", "Pending": "2"}
+    assert vd.code_list() == ["0", "1", "2"]
 
 
 def test_encode_column_pads_to_width(tmp_path):
