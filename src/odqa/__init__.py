@@ -29,7 +29,7 @@ from .reduce import (
     code_width_for,
     reconstruct_table,
 )
-from .report import AuditReport, file_sha256
+from .report import AuditReport
 from .temporal import TemporalRules, TemporalSummary, evaluate_hour_histogram, pair_duration
 from .timestamps import (
     LocalTimestamp,
@@ -79,7 +79,6 @@ __all__ = [
     "code_width_for",
     "concentration",
     "evaluate_hour_histogram",
-    "file_sha256",
     "load_config",
     "load_dictionary",
     "normalize_street",

@@ -22,6 +22,7 @@ from .pipeline import (
     run_reduce_apply,
     run_reduce_plan,
 )
+from .report import EXIT_FATAL
 
 log = logging.getLogger(__name__)
 
@@ -93,10 +94,10 @@ def main(argv: list[str] | None = None) -> int:
             result = _RUNNERS[args.command](cfg)
     except OdqaError as exc:
         print(f"odqa: error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_FATAL
     except OSError as exc:
         print(f"odqa: error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_FATAL
 
     sink = result.sink
     total = sink.total()

@@ -8,6 +8,7 @@ minimal config is just the input path.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import hashlib
 import json
@@ -129,53 +130,36 @@ class AuditConfig:
         return StreetNormalizer()
 
     def canonical_dict(self) -> dict:
-        """Stable representation of every behavior-affecting knob."""
+        """Stable representation of every behavior-affecting knob: every
+        field except where outputs go and where the config came from."""
         return {
-            "input_path": str(self.input_path) if self.input_path else None,
-            "dictionary_path": str(self.dictionary_path) if self.dictionary_path else None,
-            "field_map": vars(self.field_map),
-            "timestamp_formats": list(self.timestamp_formats),
-            "extra_missing_tokens": dict(sorted(self.extra_missing_tokens.items())),
-            "zone_spec": self.zone_spec,
-            "temporal": {
-                "sentinel_dates": [d.isoformat() for d in self.temporal.sentinel_dates],
-                "extreme_cutoff_days": self.temporal.extreme_cutoff_days,
-                "post_close_window_days": self.temporal.post_close_window_days,
-                "sigma_multiplier": self.temporal.sigma_multiplier,
-            },
-            "distinct_cap": self.distinct_cap,
-            "sketch_capacity": self.sketch_capacity,
-            "top_k": self.top_k,
-            "concentration": dict(sorted(self.concentration.items())),
-            "references": {k: str(v) for k, v in sorted(self.references.items())},
-            "geo_bounds": None if self.geo_bounds is None else vars(self.geo_bounds),
-            "precision_fields": list(self.precision_fields),
-            "max_decimals": self.max_decimals,
-            "unique": [vars(u) for u in self.unique],
-            "pairs": [vars(p) for p in self.pairs],
-            "concat": [vars(c) for c in self.concat],
-            "fd": [list(p) for p in self.fd],
-            "near_duplicate_threshold": self.near_duplicate_threshold,
-            "plan": {
-                "sparse_threshold": self.plan.sparse_threshold,
-                "encode_cap": self.plan.encode_cap,
-                "encode_fields": list(self.plan.encode_fields),
-                "drop_fields": list(self.plan.drop_fields),
-                "segregate_fields": None if self.plan.segregate_fields is None else list(self.plan.segregate_fields),
-                "allow_lossy": list(self.plan.allow_lossy),
-                "auto_drop_duplicates": self.plan.auto_drop_duplicates,
-                "drop_concat_targets": self.plan.drop_concat_targets,
-                "protected_fields": list(self.plan.protected_fields),
-            },
-            "severity_threshold": self.severity_threshold.label,
-            "severity_overrides": {k: v.label for k, v in sorted(self.severity_overrides.items())},
-            "sample_cap": self.sample_cap,
-            "case_fold_domains": self.case_fold_domains,
+            f.name: _canonical(getattr(self, f.name))
+            for f in dataclasses.fields(self) if f.name not in _NOT_BEHAVIOR
         }
 
     def digest(self) -> str:
         payload = json.dumps(self.canonical_dict(), sort_keys=True, ensure_ascii=True)
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+_NOT_BEHAVIOR = ("out_dir", "formats", "source_path")
+
+
+def _canonical(value: Any) -> Any:
+    """value as plain JSON data, for the config digest."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _canonical(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Severity):
+        return value.label
+    if isinstance(value, dict):
+        return {k: _canonical(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    return value
 
 
 def _require_mapping(value: Any, where: str) -> Mapping:

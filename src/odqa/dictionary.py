@@ -13,14 +13,12 @@ import csv
 import logging
 import re
 from dataclasses import dataclass, field as dc_field
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import DictionaryLoadError
 from .findings import Finding, Measurement, make_finding
-from .ingest import DEFAULT_CLASSIFIER, Batch, MissingClassifier, RawTable, RowConsumer, normalize_header
-from .timestamps import TimestampParser
+from .ingest import Batch, RawTable, RowConsumer, normalize_header
 
 log = logging.getLogger(__name__)
 
@@ -250,20 +248,9 @@ class TypeChecker(RowConsumer):
 
     SAMPLE_CAP = 5
 
-    def __init__(
-        self,
-        dictionary: DataDictionary,
-        *,
-        parser: TimestampParser,
-        classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-        emit=None,
-        key_index: int | None = None,
-    ):
+    def __init__(self, dictionary: DataDictionary, *, emit=None):
         self._dictionary = dictionary
-        self._parser = parser
-        self._classifier = classifier
         self._emit = emit
-        self._key_index = key_index
         self.report = TypeReport()
         # (column index, field, compiled pattern, or None for a timestamp)
         self._checks: list[tuple[int, str, re.Pattern | None]] = []
@@ -280,17 +267,16 @@ class TypeChecker(RowConsumer):
 
     def consume_batch(self, batch: Batch) -> None:
         rep = self.report
-        classifier = self._classifier
         for idx, name, pattern in self._checks:
             counts = batch.counts(idx)
-            absent = batch.missing(idx, classifier)
+            absent = batch.missing(idx)
             values = [v for v in counts if v not in absent] if absent else list(counts)
             if pattern is None:
-                parsed = batch.parsed(idx, classifier, self._parser)
+                parsed = batch.parsed(idx)
                 verdicts = list(map(parsed.__getitem__, values))
             else:
                 verdicts = list(map(pattern.fullmatch, map(str.strip, values)))
-            rep.checked[name] += len(batch.rows) - sum(map(counts.__getitem__, absent))
+            rep.checked[name] += len(batch.ordinals) - sum(map(counts.__getitem__, absent))
             if all(verdicts):
                 continue
             bad = {v for v, ok in zip(values, verdicts) if not ok}
@@ -298,10 +284,9 @@ class TypeChecker(RowConsumer):
             sample = rep.samples[name]
             if len(sample) == self.SAMPLE_CAP:
                 continue
-            keys = batch.columns[self._key_index] if self._key_index is not None else repeat("")
-            for ordinal, v, key in zip(batch.ordinals, batch.columns[idx], keys):
+            for locator, v in zip(batch.locators(), batch.columns[idx]):
                 if v in bad:
-                    sample.append((key or ordinal, v))
+                    sample.append((locator, v))
                     if len(sample) == self.SAMPLE_CAP:
                         break
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .errors import ConfigError
 from .findings import Measurement, make_finding
-from .ingest import DEFAULT_CLASSIFIER, Batch, MissingClassifier, RawTable, RowConsumer
+from .ingest import Batch, RawTable, RowConsumer
 
 log = logging.getLogger(__name__)
 
@@ -51,14 +51,6 @@ def load_reference(path: str | Path) -> frozenset[str]:
     return frozenset(tokens)
 
 
-def _present_cell(batch: Batch, idx: int | None, n: int, classifier: MissingClassifier) -> str | None:
-    """Row n's cell in column idx; None when idx is None or the cell is missing."""
-    if idx is None:
-        return None
-    v = batch.columns[idx][n]
-    return None if v in batch.missing(idx, classifier) else v
-
-
 @dataclass
 class MembershipResult:
     field: str
@@ -87,15 +79,9 @@ class ReferenceChecker(RowConsumer):
         self,
         references: Mapping[str, frozenset[str]],
         *,
-        classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-        key_field: str | None = None,
-        agency_field: str | None = None,
         emit=None,
     ):
         self.references = dict(references)
-        self.classifier = classifier
-        self.key_field = key_field
-        self.agency_field = agency_field
         self._emit = emit if emit is not None else (lambda f: None)
         self.results = {f: MembershipResult(f) for f in self.references}
 
@@ -106,34 +92,34 @@ class ReferenceChecker(RowConsumer):
             if idx is None:
                 raise ValueError(f"reference check: field {f!r} not in header")
             self._cols.append((idx, reference, self.results[f]))
-        self._ik = table.column_index(self.key_field) if self.key_field else None
-        self._ia = table.column_index(self.agency_field) if self.agency_field else None
 
     def consume_batch(self, batch: Batch) -> None:
-        classifier = self.classifier
         flagged = []
         for idx, reference, res in self._cols:
             counts = batch.counts(idx)
-            absent = batch.missing(idx, classifier)
-            res.checked += len(batch.rows) - sum(map(counts.__getitem__, absent))
+            absent = batch.missing(idx)
+            res.checked += len(batch.ordinals) - sum(map(counts.__getitem__, absent))
             bad = counts.keys() - reference - absent.keys()
             if bad:
                 flagged.append((batch.columns[idx], bad, res))
-        for n, ordinal in enumerate(batch.ordinals):
+        if not flagged:
+            return
+        locators, agencies = batch.locators(), batch.agencies()
+        for n, locator in enumerate(locators):
             for column, bad, res in flagged:
                 v = column[n]
                 if v not in bad:
                     continue
                 res.invalid += 1
                 res.invalid_values[v] = res.invalid_values.get(v, 0) + 1
-                agency = _present_cell(batch, self._ia, n, classifier)
+                agency = None if agencies is None else agencies[n]
                 if agency is not None:
                     res.by_agency_invalid[agency] = res.by_agency_invalid.get(agency, 0) + 1
                 self._emit(make_finding(
                     "invalid_value",
                     f"{res.field!r} value {v!r} is not in the reference set",
                     fields=(res.field,),
-                    row_locator=_present_cell(batch, self._ik, n, classifier) or ordinal,
+                    row_locator=locator,
                     agency=agency,
                 ))
 
@@ -178,17 +164,11 @@ class GeoBoundsChecker(RowConsumer):
         lon_field: str,
         bounds: GeoBounds = GeoBounds(),
         *,
-        classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-        key_field: str | None = None,
-        agency_field: str | None = None,
         emit=None,
     ):
         self.lat_field = lat_field
         self.lon_field = lon_field
         self.bounds = bounds
-        self.classifier = classifier
-        self.key_field = key_field
-        self.agency_field = agency_field
         self._emit = emit if emit is not None else (lambda f: None)
         self.result = GeoResult()
 
@@ -198,13 +178,10 @@ class GeoBoundsChecker(RowConsumer):
         if ilat is None or ilon is None:
             raise ValueError(f"geo check: {self.lat_field!r}/{self.lon_field!r} not in header")
         self._ilat, self._ilon = ilat, ilon
-        self._ik = table.column_index(self.key_field) if self.key_field else None
-        self._ia = table.column_index(self.agency_field) if self.agency_field else None
 
     def consume_batch(self, batch: Batch) -> None:
-        classifier = self.classifier
-        missing_lat = batch.missing(self._ilat, classifier)
-        missing_lon = batch.missing(self._ilon, classifier)
+        missing_lat = batch.missing(self._ilat)
+        missing_lon = batch.missing(self._ilon)
         res = self.result
         for n, (raw_lat, raw_lon) in enumerate(zip(batch.columns[self._ilat], batch.columns[self._ilon])):
             if raw_lat in missing_lat or raw_lon in missing_lon:
@@ -220,14 +197,15 @@ class GeoBoundsChecker(RowConsumer):
             if self.bounds.contains(lat, lon):
                 continue
             res.out_of_bounds += 1
+            agencies = batch.agencies()
             self._emit(make_finding(
                 "geo_out_of_bounds",
                 f"({raw_lat}, {raw_lon}) falls outside "
                 f"[{self.bounds.lat_min}, {self.bounds.lat_max}] x "
                 f"[{self.bounds.lon_min}, {self.bounds.lon_max}]",
                 fields=(self.lat_field, self.lon_field),
-                row_locator=_present_cell(batch, self._ik, n, classifier) or batch.ordinals[n],
-                agency=_present_cell(batch, self._ia, n, classifier),
+                row_locator=batch.locators()[n],
+                agency=None if agencies is None else agencies[n],
             ))
 
     def finish(self) -> GeoResult:
@@ -259,11 +237,9 @@ class UniqueChecker(RowConsumer):
         self,
         specs: Sequence[tuple[str, bool]],
         *,
-        classifier: MissingClassifier = DEFAULT_CLASSIFIER,
         emit=None,
     ):
         self.specs = list(specs)
-        self.classifier = classifier
         self._emit = emit if emit is not None else (lambda f: None)
         self.results = [UniqueResult(f) for f, _ in self.specs]
 
@@ -283,12 +259,12 @@ class UniqueChecker(RowConsumer):
             idx, _required, res, first_seen, _dups = state
             column = batch.columns[idx]
             counts = batch.counts(idx)
-            if (len(counts) == len(column) and not batch.missing(idx, self.classifier)
+            if (len(counts) == len(column) and not batch.missing(idx)
                     and first_seen.keys().isdisjoint(counts)):
                 first_seen.update(zip(column, ordinals))
                 res.total_present += len(column)
             else:
-                slow.append((column, batch.missing(idx, self.classifier), state))
+                slow.append((column, batch.missing(idx), state))
         for n, ordinal in enumerate(ordinals):
             for column, absent, (_idx, required, res, first_seen, dups) in slow:
                 v = column[n]
@@ -376,14 +352,12 @@ class PrecisionAuditor(RowConsumer):
         fields: list[str],
         max_decimals: int = DEFAULT_MAX_DECIMALS,
         *,
-        classifier: MissingClassifier = DEFAULT_CLASSIFIER,
         emit=None,
     ):
         self.fields = list(fields)
         if twice := [f for i, f in enumerate(self.fields) if f in self.fields[:i]]:
             raise ValueError(f"precision audit: field {twice[0]!r} listed twice")
         self.max_decimals = max_decimals
-        self.classifier = classifier
         self._emit = emit if emit is not None else (lambda f: None)
         self.results: dict[str, PrecisionAudit] = {f: PrecisionAudit(f) for f in self.fields}
 
@@ -397,7 +371,7 @@ class PrecisionAuditor(RowConsumer):
 
     def consume_batch(self, batch: Batch) -> None:
         for idx, audit in self._cols:
-            absent = batch.missing(idx, self.classifier)
+            absent = batch.missing(idx)
             for v, n in batch.counts(idx).items():
                 if v in absent:
                     continue

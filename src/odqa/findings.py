@@ -177,7 +177,6 @@ class FindingSink:
     sample_cap: int = 100
     counts: dict[str, int] = field(default_factory=dict)
     samples: dict[str, list[Finding]] = field(default_factory=dict)
-    max_severity: Severity | None = None
     severity_counts: dict[Severity, int] = field(default_factory=dict)
 
     def emit(self, finding: Finding) -> None:
@@ -188,12 +187,6 @@ class FindingSink:
             bucket.append(finding)
         sev = finding.severity
         self.severity_counts[sev] = self.severity_counts.get(sev, 0) + 1
-        if self.max_severity is None or sev > self.max_severity:
-            self.max_severity = sev
-
-    def extend(self, findings) -> None:
-        for f in findings:
-            self.emit(f)
 
     def count_at_or_above(self, threshold: Severity) -> int:
         return sum(n for sev, n in self.severity_counts.items() if sev >= threshold)

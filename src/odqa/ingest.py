@@ -10,6 +10,13 @@ parses its timestamps on first request, for every consumer at once. A
 consumer then judges each distinct value once and walks the rows only
 where findings must come out in row order, which keeps the per-cell cost
 low enough for multi-gigabyte inputs.
+
+This module owns the run's row semantics. stream_rows takes the
+missing-value classifier, the timestamp parser and the key and agency
+columns once, and every batch answers from them: which cells are
+missing, what a timestamp parses to, where a row is (its key if
+present, else its ordinal) and which agency it belongs to. Consumers
+ask the batch and take none of these themselves.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import InputError
 from .findings import Finding, make_finding
+from .timestamps import TimestampParser
 
 log = logging.getLogger(__name__)
 
@@ -136,24 +144,61 @@ class RawTable:
             return None
 
 
+class RowSemantics:
+    """What every Batch of one stream shares: the missing-value classifier,
+    the timestamp parser, and the indexes of the key and agency columns
+    (None when unmapped or absent from the header)."""
+
+    __slots__ = ("classifier", "parser", "key_index", "agency_index")
+
+    def __init__(
+        self,
+        table: RawTable,
+        emit: Callable[[Finding], None],
+        *,
+        classifier: MissingClassifier = DEFAULT_CLASSIFIER,
+        parser: Callable[[str], object] | None = None,
+        key_field: str | None = None,
+        agency_field: str | None = None,
+    ):
+        """Resolve the mapped columns against table's header. An agency
+        column the header lacks is reported through emit and treated as
+        unmapped; a missing key column falls back to row ordinals."""
+        self.classifier = classifier
+        self.parser = parser if parser is not None else TimestampParser()
+        self.key_index = table.column_index(key_field) if key_field else None
+        self.agency_index = table.column_index(agency_field) if agency_field else None
+        if agency_field and self.agency_index is None:
+            emit(make_finding(
+                "agency_field_missing",
+                f"configured agency field {agency_field!r} is not in the header",
+                fields=(agency_field,),
+            ))
+
+
 class Batch:
-    """Up to BATCH_ROWS delivered rows, in stream order, and their columns.
+    """Up to BATCH_ROWS delivered rows, in stream order, as columns.
 
     ordinals holds the 1-based data row ordinal of each row and columns
-    the transpose of rows. counts, missing and parsed are computed on the
-    first request and kept only as long as the batch, so every consumer
-    shares them; callers must not mutate what they return.
+    the transpose of the rows. Every batch of a stream shares one
+    RowSemantics, so what a missing cell is, how a timestamp parses and
+    how a row is located are decided once, here, for every consumer.
+    counts, missing, parsed, locators and agencies are computed on the
+    first request and kept only as long as the batch; callers must not
+    mutate what they return.
     """
 
-    __slots__ = ("ordinals", "rows", "columns", "_counts", "_missing", "_parsed")
+    __slots__ = ("ordinals", "columns", "_semantics", "_counts", "_missing", "_parsed", "_locators", "_agencies")
 
-    def __init__(self, ordinals: list[int], rows: list[list[str]]):
+    def __init__(self, ordinals: list[int], rows: list[list[str]], semantics: RowSemantics):
         self.ordinals = ordinals
-        self.rows = rows
         self.columns = list(zip(*rows))
+        self._semantics = semantics
         self._counts: dict[int, Counter] = {}
-        self._missing: dict[tuple, dict[str, str]] = {}
+        self._missing: dict[int, dict[str, str]] = {}
         self._parsed: dict = {}
+        self._locators: list | None = None
+        self._agencies: list | None = None
 
     def counts(self, i: int) -> Counter:
         """Each distinct value of column i and its count, in first-appearance order."""
@@ -162,26 +207,49 @@ class Batch:
             counts = self._counts[i] = Counter(self.columns[i])
         return counts
 
-    def missing(self, i: int, classifier: MissingClassifier) -> dict[str, str]:
+    def missing(self, i: int) -> dict[str, str]:
         """The missing values of column i mapped to their kind, in first-appearance order."""
-        key = (i, classifier)
-        missing = self._missing.get(key)
+        missing = self._missing.get(i)
         if missing is None:
-            suspect = classifier.suspect_first
-            kind_of = classifier.kind_of
-            missing = self._missing[key] = {
+            suspect = self._semantics.classifier.suspect_first
+            kind_of = self._semantics.classifier.kind_of
+            missing = self._missing[i] = {
                 v: kind for v in self.counts(i)
                 if (not v or v[0] in suspect) and (kind := kind_of(v)) is not None
             }
         return missing
 
-    def parsed(self, i: int, classifier: MissingClassifier, parser: Callable[[str], object]) -> dict:
-        """parser's results for this batch, one dict shared by every column,
-        holding at least each present value of column i."""
-        done = self._parsed.setdefault(parser, {})
-        for v in self.counts(i).keys() - done.keys() - self.missing(i, classifier).keys():
+    def parsed(self, i: int) -> dict:
+        """The parser's results for this batch, one dict shared by every
+        column, holding at least each present value of column i."""
+        done = self._parsed
+        parser = self._semantics.parser
+        for v in self.counts(i).keys() - done.keys() - self.missing(i).keys():
             done[v] = parser(v)
         return done
+
+    def locators(self) -> list:
+        """Per row, its key cell when a key is mapped and the cell is
+        present, else its 1-based ordinal."""
+        if self._locators is None:
+            k = self._semantics.key_index
+            if k is None:
+                self._locators = self.ordinals
+            else:
+                absent = self.missing(k)
+                self._locators = [o if v in absent else v for o, v in zip(self.ordinals, self.columns[k])]
+        return self._locators
+
+    def agencies(self) -> list | None:
+        """Per row, its agency cell when present, else None; None as a
+        whole when no agency is mapped."""
+        a = self._semantics.agency_index
+        if a is None:
+            return None
+        if self._agencies is None:
+            absent = self.missing(a)
+            self._agencies = [None if v in absent else v for v in self.columns[a]]
+        return self._agencies
 
 
 class RowConsumer:
@@ -335,18 +403,28 @@ def stream_rows(
     table: RawTable,
     consumers: Iterable[RowConsumer],
     emit: Callable[[Finding], None] | None = None,
+    *,
+    classifier: MissingClassifier = DEFAULT_CLASSIFIER,
+    parser: Callable[[str], object] | None = None,
+    key_field: str | None = None,
+    agency_field: str | None = None,
 ) -> StreamResult:
     """Stream the table body through the consumers in one pass.
 
     Delivered rows reach each consumer in Batches of BATCH_ROWS, the last
-    one shorter. Rows whose cell count differs from the header width
-    produce a ragged Finding and are not delivered; rows the csv parser
-    rejects produce a quoting Finding carrying the byte offset of the
-    record start. Both are recoverable: the stream continues with the
-    next record. Unreadable files raise OSError.
+    one shorter, all sharing one RowSemantics built from classifier,
+    parser (default: a TimestampParser with the default formats),
+    key_field and agency_field. Rows whose cell count differs from the
+    header width produce a ragged Finding and are not delivered; rows the
+    csv parser rejects produce a quoting Finding carrying the byte offset
+    of the record start. Both are recoverable: the stream continues with
+    the next record. Unreadable files raise OSError.
     """
     consumers = list(consumers)
     sink = emit if emit is not None else (lambda f: None)
+    semantics = RowSemantics(
+        table, sink, classifier=classifier, parser=parser, key_field=key_field, agency_field=agency_field,
+    )
     for c in consumers:
         c.start(table)
 
@@ -400,11 +478,11 @@ def stream_rows(
             ordinals.append(ordinal)
             rows.append(row)
             if len(rows) == BATCH_ROWS:
-                deliver(Batch(ordinals, rows))
+                deliver(Batch(ordinals, rows, semantics))
                 ordinals, rows = [], []
 
     if rows:
-        deliver(Batch(ordinals, rows))
+        deliver(Batch(ordinals, rows, semantics))
     table.row_count = ordinal
     for c in consumers:
         c.finish()

@@ -5,11 +5,12 @@ Each run_* function is one CLI subcommand. The four streaming commands
 handed to `_run`, the single driver. `_run` opens the table, wires the
 column profiler, then runs every stage up to its `yield`: that part of a
 stage attaches its consumers and names the columns it needs. It streams
-the file exactly once through all of them, resumes the stages in the
-same order to turn consumer results into report sections, then
-assembles the AuditReport, sets the exit status and writes the requested
-renderings into out_dir. Stage order is consumer order, and so the
-order in which findings reach the sink.
+the file exactly once through all of them, handing stream_rows the
+config's missing-value classifier, timestamp parser and key and agency
+columns, resumes the stages in the same order to turn consumer results
+into report sections, then assembles the AuditReport, sets the exit
+status and writes the requested renderings into out_dir. Stage order is
+consumer order, and so the order in which findings reach the sink.
 
 reduce-apply streams the file through a plan instead of consumers, so it
 opens the table itself and shares the driver's sink, assembly and exit
@@ -46,7 +47,7 @@ from .domain_rules import (
 )
 from .errors import ConfigError, PlanError
 from .findings import Finding, FindingSink, apply_severity_overrides, make_finding
-from .ingest import MissingClassifier, RawTable, RowConsumer, StreamResult, open_table, stream_rows
+from .ingest import RawTable, RowConsumer, StreamResult, open_table, stream_rows
 from .profiling import ProfileCollector, concentration, tier_table
 from .redundancy import ConcatChecker, FDChecker, PairCollector
 from .reduce import ApplyResult, ReductionPlan, apply_plan, build_plan
@@ -60,7 +61,6 @@ from .report import (
     render_profiles_csv,
 )
 from .temporal import DurationAuditor
-from .timestamps import TimestampParser
 
 log = logging.getLogger(__name__)
 
@@ -142,8 +142,6 @@ class _Run:
     cfg: AuditConfig
     table: RawTable
     emit: Callable[[Finding], None]
-    classifier: MissingClassifier
-    parser: TimestampParser     # one per run: the type and temporal checks share its caches
     profiler: ProfileCollector
     consumers: list[RowConsumer] = dc_field(default_factory=list)
     wanted: dict[str, str] = dc_field(default_factory=dict)    # column -> config knob asking for it
@@ -167,17 +165,14 @@ def _run(cfg: AuditConfig, command: str, stages, write: bool) -> RunResult:
     """Run one streaming command made of stages; see the module docstring."""
     _require_input(cfg)
     sink, emit, table = _open(cfg)
-    classifier = cfg.classifier()
     fm = cfg.field_map
     profiler = ProfileCollector(
-        classifier=classifier,
         distinct_cap=cfg.distinct_cap,
         sketch_capacity=cfg.sketch_capacity,
         top_k=cfg.top_k,
-        agency_field=fm.agency,
         emit=emit,
     )
-    run = _Run(cfg, table, emit, classifier, cfg.timestamp_parser(), profiler, consumers=[profiler])
+    run = _Run(cfg, table, emit, profiler, consumers=[profiler])
 
     running = [stage(run) for stage in stages]
     for stage in running:
@@ -191,7 +186,10 @@ def _run(cfg: AuditConfig, command: str, stages, write: bool) -> RunResult:
         parts = ", ".join(f"{name!r} (from {why})" for name, why in sorted(missing.items()))
         raise ConfigError(f"configured column(s) not in the header: {parts}")
 
-    stream = run.stream = stream_rows(table, run.consumers, emit=emit)
+    stream = run.stream = stream_rows(
+        table, run.consumers, emit=emit,
+        classifier=cfg.classifier(), parser=cfg.timestamp_parser(), key_field=fm.key, agency_field=fm.agency,
+    )
     run.sections["stream"] = {
         "rows": stream.row_count,
         "delivered": stream.delivered,
@@ -271,14 +269,7 @@ def _dictionary(run: _Run):
     if cfg.dictionary_path is None:
         return
     dictionary = load_dictionary(cfg.dictionary_path)
-    key = cfg.field_map.key
-    types = run.add(TypeChecker(
-        dictionary,
-        parser=run.parser,
-        classifier=run.classifier,
-        emit=run.emit,
-        key_index=run.table.column_index(key) if key else None,
-    ))
+    types = run.add(TypeChecker(dictionary, emit=run.emit))
     yield
     field_drift = detect_undocumented(run.table, dictionary)
     domain_drift = check_domains(
@@ -351,11 +342,7 @@ def _temporal(run: _Run):
         created_field=fm.created,
         closed_field=fm.closed,
         updated_field=fm.updated,
-        key_field=fm.key,
-        agency_field=fm.agency,
-        parser=run.parser,
         rules=cfg.temporal,
-        classifier=run.classifier,
         emit=run.emit,
     ))
     yield
@@ -366,16 +353,13 @@ def _domain(run: _Run):
     """Reference sets, the geo box, unique keys and decimal precision."""
     cfg = run.cfg
     fm = cfg.field_map
-    classifier, emit = run.classifier, run.emit
+    emit = run.emit
     references = None
     if cfg.references:
         fields = sorted(cfg.references)
         run.need("references", *fields)
         references = run.add(ReferenceChecker(
             {f: load_reference(cfg.references[f]) for f in fields},
-            classifier=classifier,
-            key_field=fm.key,
-            agency_field=fm.agency,
             emit=emit,
         ))
     geo = None
@@ -388,22 +372,19 @@ def _domain(run: _Run):
             fm.latitude,
             fm.longitude,
             cfg.geo_bounds,
-            classifier=classifier,
-            key_field=fm.key,
-            agency_field=fm.agency,
             emit=emit,
         ))
     uniques = None
     if cfg.unique:
         run.need("unique", *(spec.field for spec in cfg.unique))
         uniques = run.add(UniqueChecker(
-            [(spec.field, spec.required) for spec in cfg.unique], classifier=classifier, emit=emit,
+            [(spec.field, spec.required) for spec in cfg.unique], emit=emit,
         ))
     precision = None
     if cfg.precision_fields:
         run.need("precision.fields", *cfg.precision_fields)
         precision = run.add(PrecisionAuditor(
-            list(cfg.precision_fields), cfg.max_decimals, classifier=classifier, emit=emit,
+            list(cfg.precision_fields), cfg.max_decimals, emit=emit,
         ))
     yield
     section: dict = {}
@@ -456,7 +437,6 @@ def _domain(run: _Run):
 def _redundancy(run: _Run):
     """Column pair matches, concatenation templates and dependencies."""
     cfg = run.cfg
-    classifier = run.classifier
     pairs = None
     if cfg.pairs:
         street = cfg.street_normalizer()
@@ -464,17 +444,15 @@ def _redundancy(run: _Run):
         for p in cfg.pairs:
             run.need("pairs", p.field_a, p.field_b)
             specs.append((p.field_a, p.field_b, street if p.normalizer == "street" else None))
-        pairs = run.add(PairCollector(specs, classifier=classifier, emit=run.emit))
+        pairs = run.add(PairCollector(specs, emit=run.emit))
     concats = []
     for c in cfg.concat:
         run.need("concat", c.target, c.source_a, c.source_b)
-        concats.append(run.add(ConcatChecker(
-            c.target, c.source_a, c.source_b, c.template, classifier=classifier,
-        )))
+        concats.append(run.add(ConcatChecker(c.target, c.source_a, c.source_b, c.template)))
     fds = []
     for det, dep in cfg.fd:
         run.need("fd", det, dep)
-        fds.append(run.add(FDChecker(det, dep, classifier=classifier)))
+        fds.append(run.add(FDChecker(det, dep)))
     yield
     section: dict = {}
     if pairs is not None:

@@ -27,7 +27,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .findings import Measurement, make_finding
-from .ingest import DEFAULT_CLASSIFIER, Batch, MissingClassifier, RawTable, RowConsumer
+from .ingest import Batch, RawTable, RowConsumer
 
 log = logging.getLogger(__name__)
 
@@ -171,20 +171,16 @@ class ProfileCollector(RowConsumer):
     def __init__(
         self,
         *,
-        classifier: MissingClassifier = DEFAULT_CLASSIFIER,
         distinct_cap: int = DEFAULT_DISTINCT_CAP,
         sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
         top_k: int = DEFAULT_TOP_K,
-        agency_field: str | None = None,
         emit=None,
     ):
         if distinct_cap < 1:
             raise ValueError("distinct_cap must be positive")
-        self._classifier = classifier
         self._cap = distinct_cap
         self._sketch_capacity = sketch_capacity
         self._top_k = top_k
-        self._agency_field = agency_field
         self._emit = emit
         self.profiles: list[ColumnProfile] = []
 
@@ -198,34 +194,16 @@ class ProfileCollector(RowConsumer):
         self._counts: list[dict[str, int] | None] = [{} for _ in range(n)]
         self._sketches: list[SpaceSavingSketch | None] = [None] * n
         self._agency: list[dict[str, int]] = [{} for _ in range(n)]
-        self._agency_idx = None
-        if self._agency_field is not None:
-            idx = table.column_index(self._agency_field)
-            if idx is None:
-                if self._emit is not None:
-                    self._emit(make_finding(
-                        "agency_field_missing",
-                        f"configured agency field {self._agency_field!r} is not in the header",
-                        fields=(self._agency_field,),
-                    ))
-            else:
-                self._agency_idx = idx
 
     def consume_batch(self, batch: Batch) -> None:
         """Count the batch column by column; see the module docstring."""
-        self._total += len(batch.rows)
-        classifier = self._classifier
-        agencies = None
-        if self._agency_idx is not None:
-            agencies = batch.columns[self._agency_idx]
-            absent = batch.missing(self._agency_idx, classifier)
-            if absent:
-                agencies = [None if a in absent else a for a in agencies]
+        self._total += len(batch.ordinals)
+        agencies = batch.agencies()
 
         for i, column in enumerate(batch.columns):
             self._chars[i] += sum(map(len, column))
             present = batch.counts(i)
-            absent = batch.missing(i, classifier)
+            absent = batch.missing(i)
             if absent:
                 missing = self._missing[i]
                 present = present.copy()

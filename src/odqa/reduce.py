@@ -74,14 +74,15 @@ def _write_columns(fh, columns: Sequence[Sequence[str]], rows: int) -> None:
 def _column_batches(records: Iterable[list[str]], width: int, suffix: str):
     """Yield (rows before, row count, columns) per REDUCE_BATCH_ROWS records.
     At a record of another width (zip would cut every column to it) or one the
-    csv reader rejects, the rows before it are yielded first, then it raises."""
+    csv reader rejects, the rows before it are yielded first, then a PlanError
+    naming its 1-based row, ending in suffix, is raised."""
     done, n = 0, REDUCE_BATCH_ROWS
     while n == REDUCE_BATCH_ROWS:
         rows, failure = [], None
         try:
             rows.extend(islice(records, REDUCE_BATCH_ROWS))
         except csv.Error as exc:
-            failure = exc
+            failure = PlanError(f"row {done + len(rows) + 1}: {exc}{suffix}")
         n = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
         if n < len(rows):
             failure = PlanError(f"row {done + n + 1}: {len(rows[n])} cells, expected {width}{suffix}")

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 from .errors import ConfigError
 from .findings import Measurement, make_finding
-from .ingest import DEFAULT_CLASSIFIER, Batch, MissingClassifier, RawTable, RowConsumer
+from .ingest import Batch, RawTable, RowConsumer
 
 log = logging.getLogger(__name__)
 
@@ -98,11 +98,9 @@ class PairCollector(RowConsumer):
         self,
         pairs: list[tuple[str, str, Callable[[str], str] | None]],
         *,
-        classifier: MissingClassifier = DEFAULT_CLASSIFIER,
         emit=None,
     ):
         self._specs = pairs
-        self._classifier = classifier
         self._emit = emit
         self.stats: list[PairMatchStats] = []
 
@@ -117,11 +115,10 @@ class PairCollector(RowConsumer):
             self._cols.append([a, b, ia, ib, norm, [0, 0, 0, 0, 0, 0]])
 
     def consume_batch(self, batch: Batch) -> None:
-        classifier = self._classifier
         for _a, _b, ia, ib, norm, c in self._cols:
-            missing_a = batch.missing(ia, classifier)
-            missing_b = batch.missing(ib, classifier)
-            c[0] += len(batch.rows)
+            missing_a = batch.missing(ia)
+            missing_b = batch.missing(ib)
+            c[0] += len(batch.ordinals)
             for (va, vb), n in Counter(zip(batch.columns[ia], batch.columns[ib])).items():
                 if va in missing_a:
                     c[1 if vb in missing_b else 2] += n
@@ -199,12 +196,9 @@ class ConcatChecker(RowConsumer):
         source_a: str,
         source_b: str,
         template: str = "({a}, {b})",
-        *,
-        classifier: MissingClassifier = DEFAULT_CLASSIFIER,
     ):
         _validate_template(template)
         self.stats = ConcatStats(target, source_a, source_b, template)
-        self._classifier = classifier
         self._prefix, rest = template.split("{a}", 1)
         self._middle, self._suffix = rest.split("{b}", 1)
 
@@ -220,10 +214,9 @@ class ConcatChecker(RowConsumer):
         self._it, self._ia, self._ib = it, ia, ib
 
     def consume_batch(self, batch: Batch) -> None:
-        classifier = self._classifier
-        missing_t = batch.missing(self._it, classifier)
-        missing_a = batch.missing(self._ia, classifier)
-        missing_b = batch.missing(self._ib, classifier)
+        missing_t = batch.missing(self._it)
+        missing_a = batch.missing(self._ia)
+        missing_b = batch.missing(self._ib)
         prefix, middle, suffix = self._prefix, self._middle, self._suffix
         s = self.stats
         cols = batch.columns
@@ -329,15 +322,8 @@ class FDResult:
 class FDChecker(RowConsumer):
     """Checks determinant -> dependent over co-present rows."""
 
-    def __init__(
-        self,
-        determinant: str,
-        dependent: str,
-        *,
-        classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-    ):
+    def __init__(self, determinant: str, dependent: str):
         self.result = FDResult(determinant, dependent)
-        self._classifier = classifier
         self._mapping: dict[str, str] = {}
 
     def start(self, table: RawTable) -> None:
@@ -350,8 +336,8 @@ class FDChecker(RowConsumer):
         self._ia, self._ib = ia, ib
 
     def consume_batch(self, batch: Batch) -> None:
-        missing_a = batch.missing(self._ia, self._classifier)
-        missing_b = batch.missing(self._ib, self._classifier)
+        missing_a = batch.missing(self._ia)
+        missing_b = batch.missing(self._ib)
         res = self.result
         mapping = self._mapping
         for va, vb in zip(batch.columns[self._ia], batch.columns[self._ib]):

@@ -10,7 +10,6 @@ structure for humans and spreadsheets.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import logging
@@ -27,17 +26,6 @@ REPORT_SCHEMA_VERSION = 1
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_FATAL = 2
-
-
-def file_sha256(path: str | Path, chunk: int = 1 << 20) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while True:
-            block = fh.read(chunk)
-            if not block:
-                break
-            h.update(block)
-    return h.hexdigest()
 
 
 def _locator_sort_key(f: Finding):
@@ -108,20 +96,6 @@ class AuditReport:
             samples=samples,
             sections=sections,
         )
-
-    @property
-    def total_findings(self) -> int:
-        return sum(self.counts.values())
-
-    def exit_status(self, sink: FindingSink | None = None) -> int:
-        if sink is not None:
-            return EXIT_FINDINGS if sink.count_at_or_above(self.severity_threshold) else EXIT_CLEAN
-        threshold = self.severity_threshold
-        hit = 0
-        for label, n in self.severity_totals.items():
-            if Severity.parse(label) >= threshold:
-                hit += n
-        return EXIT_FINDINGS if hit else EXIT_CLEAN
 
     def as_dict(self) -> dict:
         return {

@@ -20,8 +20,8 @@ from itertools import repeat
 from typing import Sequence
 
 from .findings import Measurement, make_finding
-from .ingest import DEFAULT_CLASSIFIER, Batch, MissingClassifier, RawTable, RowConsumer
-from .timestamps import LocalTimestamp, TimestampParser, ZoneStatus
+from .ingest import Batch, RawTable, RowConsumer
+from .timestamps import LocalTimestamp, ZoneStatus
 
 log = logging.getLogger(__name__)
 
@@ -190,21 +190,13 @@ class DurationAuditor(RowConsumer):
         created_field: str,
         closed_field: str,
         updated_field: str | None = None,
-        key_field: str | None = None,
-        agency_field: str | None = None,
-        parser: TimestampParser,
         rules: TemporalRules = TemporalRules(),
-        classifier: MissingClassifier = DEFAULT_CLASSIFIER,
         emit=None,
     ):
         self.created_field = created_field
         self.closed_field = closed_field
         self.updated_field = updated_field
-        self.key_field = key_field
-        self.agency_field = agency_field
-        self.parser = parser
         self.rules = rules
-        self.classifier = classifier
         self._emit = emit if emit is not None else (lambda f: None)
         self.summary = TemporalSummary()
 
@@ -219,8 +211,6 @@ class DurationAuditor(RowConsumer):
                 f"temporal audit needs {self.created_field!r} and {self.closed_field!r} in the header"
             )
         self._iu = need(self.updated_field)
-        self._ik = need(self.key_field)
-        self._ia = need(self.agency_field)
         self._hist = ([0] * 24, [0] * 24)      # created, closed
         self._parsed = [0, 0]
         s = self.summary
@@ -231,23 +221,20 @@ class DurationAuditor(RowConsumer):
     def consume_batch(self, batch: Batch) -> None:
         s = self.summary
         rules = self.rules
-        classifier = self.classifier
-        parsed = batch.parsed(self._ic, classifier, self.parser)     # one dict for all three columns
-        batch.parsed(self._iz, classifier, self.parser)
+        parsed = batch.parsed(self._ic)     # one dict for all three columns
+        batch.parsed(self._iz)
         if self._iu is not None:
-            batch.parsed(self._iu, classifier, self.parser)
+            batch.parsed(self._iu)
 
         def column(idx):
             """The column at idx and its missing values; None and {} when unmapped."""
             if idx is None:
                 return repeat(None), {}
-            return batch.columns[idx], batch.missing(idx, classifier)
+            return batch.columns[idx], batch.missing(idx)
 
         created, missing_c = column(self._ic)
         closed, missing_z = column(self._iz)
         updated, missing_u = column(self._iu)
-        keys, missing_k = column(self._ik)
-        agencies, missing_a = column(self._ia)
         pair = (self.created_field, self.closed_field)
         # per distinct reading: parsed counts, on-the-hour histograms, midnight count
         for side, idx, missing in ((0, self._ic, missing_c), (1, self._iz, missing_z)):
@@ -266,12 +253,9 @@ class DurationAuditor(RowConsumer):
             if ts is None or ts.zone_status is ZoneStatus.DST_GAP_INVALID or ts.date in rules.sentinel_dates
         }
 
-        for ordinal, raw_c, raw_z, raw_u, key, agency in zip(
-            batch.ordinals, created, closed, updated, keys, agencies,
+        for locator, agency, raw_c, raw_z, raw_u in zip(
+            batch.locators(), batch.agencies() or repeat(None), created, closed, updated,
         ):
-            locator = ordinal if key is None or key in missing_k else key
-            if agency in missing_a:
-                agency = None
             if raw_c in missing_c:
                 ts_c = None
             else:

@@ -20,7 +20,6 @@ from odqa.pipeline import run_audit
 from odqa.profiling import ProfileCollector
 from odqa.redundancy import FDChecker, FDResult
 from odqa.temporal import DurationAuditor
-from odqa.timestamps import TimestampParser
 
 from conftest import feed, write_config
 
@@ -76,7 +75,7 @@ def test_type_samples_in_row_order_across_batches(n):
     ints = [f"bad{o}" if o in BAD_ROWS else ("" if o % 7 == 0 else str(o)) for o in range(1, n + 1)]
     stamps = [f"x{o}" if o in BAD_ROWS else "01/02/2023 03:04:05 PM" for o in range(1, n + 1)]
     d = DataDictionary([FieldDescriptor("n", "integer"), FieldDescriptor("t", "timestamp")])
-    report = feed(TypeChecker(d, parser=TimestampParser()), {"n": ints, "t": stamps})
+    report = feed(TypeChecker(d), {"n": ints, "t": stamps})
     bad = [o for o in BAD_ROWS if o <= n]
     blanks = sum(1 for o in range(1, n + 1) if o % 7 == 0 and o not in BAD_ROWS)
     assert report.checked == {"n": n - blanks, "t": n}
@@ -92,8 +91,7 @@ def test_unparseable_cells_of_one_row_in_field_order(n):
 
     findings = []
     auditor = DurationAuditor(
-        created_field="created", closed_field="closed", updated_field="updated",
-        parser=TimestampParser(), emit=findings.append,
+        created_field="created", closed_field="closed", updated_field="updated", emit=findings.append,
     )
     summary = feed(auditor, {
         "created": column("c", "01/02/2023 03:04:05 PM"),

@@ -196,6 +196,20 @@ def test_reduce_plan_then_apply_round_trip(tmp_path, capsys):
     assert header == "unique_key,borough,note"
 
 
+def test_reduce_apply_refusing_a_malformed_record_is_exit_2(tmp_path, capsys):
+    (tmp_path / "data.csv").write_text('k,s,v\nK1,,a\nK2,"x"y,b\nK3,,c\n', encoding="utf-8")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("input: data.csv\nout_dir: out\nfields: {key: k}\nplan: {segregate: [s]}\n", encoding="utf-8")
+    assert main(["reduce-plan", "--config", str(cfg)]) in (0, 1)
+    planned = sorted(p.name for p in (tmp_path / "out").iterdir())
+    capsys.readouterr()
+
+    assert main(["reduce-apply", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "odqa: error: row 2: ',' expected after '\"'; audit and repair before reducing\n"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == planned
+
+
 def test_configured_column_absent_is_exit_2(tmp_path, capsys):
     (tmp_path / "data.csv").write_text("a,b\n1,2\n", encoding="utf-8")
     cfg = tmp_path / "c.yaml"

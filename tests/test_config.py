@@ -202,3 +202,66 @@ def test_parse_formats():
         parse_formats("json,xml")
     with pytest.raises(ConfigError, match="empty"):
         parse_formats(" , ")
+
+
+EVERY_KNOB = """\
+input: /data/in.csv
+dictionary: /data/dict.csv
+out_dir: /data/out
+fields:
+  created: created_date
+  closed: closed_date
+  updated: updated_date
+  agency: agency
+  key: unique_key
+  latitude: latitude
+  longitude: longitude
+missing_tokens: {"-": empty, unknown: null_literal}
+timestamp_formats: ["%Y-%m-%d %H:%M:%S", "%m/%d/%Y"]
+zone: {name: table, initial_offset: -18000, transitions: [[1000, -14400], [2000, -18000]]}
+temporal:
+  sentinel_dates: ["1900-01-01", "1970-01-01"]
+  extreme_cutoff_days: 365
+  post_close_window_days: 7
+  sigma_multiplier: 2.5
+profile: {distinct_cap: 500, sketch_capacity: 400, top_k: 9}
+concentration: {complaint_type: 5, agency: 2}
+references: {incident_zip: /data/zips.txt, borough: /data/boroughs.txt}
+geo: {bounds: {lat_min: 40.0, lat_max: 41.0, lon_min: -75.0, lon_max: -73.0}}
+precision: {fields: [latitude, longitude], max_decimals: 5}
+unique:
+  - unique_key
+  - {field: other_key, required: true}
+pairs:
+  - [borough, park_borough]
+  - {a: cross_street_1, b: intersection_street_1, normalizer: street}
+concat:
+  - {target: location, a: latitude, b: longitude, template: "[{a} {b}]"}
+fd:
+  - [agency, agency_name]
+redundancy: {near_duplicate_threshold: 0.9}
+plan:
+  sparse_threshold: 95.5
+  encode_cap: 300
+  encode: [status]
+  drop: [location]
+  segregate: [taxi_company_borough]
+  allow_lossy: [park_borough]
+  auto_drop_duplicates: false
+  drop_concat_targets: false
+  protected: [unique_key]
+severity_threshold: error
+severity_overrides: {hour_spike: info, invalid_value: error}
+sample_cap: 7
+report: {formats: [json]}
+case_fold_domains: true
+"""
+
+
+@pytest.mark.parametrize("text,digest", [
+    ("input: /data/in.csv\n", "95f92e1f76749728bab06dccb386a8d348f471d3da19139f3f1090b8caae834e"),
+    (EVERY_KNOB, "e6ddd51cceb84c0439186c037b1f2c42bf31dfd4937ed8b552dd43b9a6d6674b"),
+])
+def test_digest_is_pinned(tmp_path, text, digest):
+    # a minimal and an every-knob config; the canonical form must not move either digest
+    assert load_config(write(tmp_path, text)).digest() == digest

@@ -19,7 +19,6 @@ from odqa.dictionary import (
 )
 from odqa.errors import DictionaryLoadError
 from odqa.ingest import open_table, stream_rows
-from odqa.timestamps import TimestampParser
 
 from conftest import feed
 
@@ -279,14 +278,12 @@ def type_dictionary():
     ])
 
 
-def run_type_checker(tmp_path, emit=None, key_index=None):
+def run_type_checker(tmp_path, emit=None, key_field=None):
     p = tmp_path / "t.csv"
     p.write_text(TYPE_CSV, encoding="utf-8")
     table = open_table(p)
-    checker = TypeChecker(
-        type_dictionary(), parser=TimestampParser(), emit=emit, key_index=key_index,
-    )
-    stream_rows(table, [checker])
+    checker = TypeChecker(type_dictionary(), emit=emit)
+    stream_rows(table, [checker], key_field=key_field)
     return checker.report
 
 
@@ -304,8 +301,15 @@ def test_type_checker_counts(tmp_path):
 
 
 def test_type_checker_key_locator(tmp_path):
-    rep = run_type_checker(tmp_path, key_index=0)
+    rep = run_type_checker(tmp_path, key_field="unique_key")
     assert rep.samples["count"] == [("K4", "1.5")]
+
+
+def test_type_checker_names_the_ordinal_of_a_row_without_a_key():
+    d = DataDictionary([FieldDescriptor(name="n", type_class="integer")])
+    keys = ["K1", "NA", "  ", "", "null", "K6"]
+    report = feed(TypeChecker(d), {"k": keys, "n": ["x1", "x2", "x3", "x4", "x5", "x6"]}, key_field="k")
+    assert report.samples["n"] == [("K1", "x1"), (2, "x2"), (3, "x3"), (4, "x4"), (5, "x5")]
 
 
 def test_type_checker_aggregates_findings(tmp_path):
@@ -325,7 +329,7 @@ def test_type_checker_sample_cap(tmp_path):
     p.write_text("n\n" + rows + "\n", encoding="utf-8")
     table = open_table(p)
     d = DataDictionary([FieldDescriptor(name="n", type_class="integer")])
-    checker = TypeChecker(d, parser=TimestampParser())
+    checker = TypeChecker(d)
     stream_rows(table, [checker])
     assert checker.report.violations["n"] == 9
     assert len(checker.report.samples["n"]) == TypeChecker.SAMPLE_CAP
@@ -339,7 +343,7 @@ def test_type_checker_sample_cap(tmp_path):
 ])
 def test_validators(type_class, good, bad):
     d = DataDictionary([FieldDescriptor(name="v", type_class=type_class)])
-    report = feed(TypeChecker(d, parser=TimestampParser()), {"v": good + bad})
+    report = feed(TypeChecker(d), {"v": good + bad})
     present_bad = [v for v in bad if v]     # "" is missing, so never validated
     assert report.checked["v"] == len(good) + len(present_bad)
     assert report.violations["v"] == len(present_bad)

@@ -62,15 +62,12 @@ def test_membership_rate_undefined_when_nothing_checked():
 
 def test_reference_checker_streaming_with_key_and_agency():
     got = []
-    checker = ReferenceChecker(
-        {"incident_zip": ZIPS}, key_field="unique_key", agency_field="agency",
-        emit=got.append,
-    )
+    checker = ReferenceChecker({"incident_zip": ZIPS}, emit=got.append)
     res = feed(checker, {
         "unique_key": ["K1", "K2", ""],
         "agency": ["NYPD", "DOT", "NA"],
         "incident_zip": ["10001", "99999", "88888"],
-    })["incident_zip"]
+    }, key_field="unique_key", agency_field="agency")["incident_zip"]
     assert res.checked == 3 and res.invalid == 2
     assert res.by_agency_invalid == {"DOT": 1}
     assert got[0].row_locator == "K2" and got[0].agency == "DOT"
@@ -133,14 +130,12 @@ def test_check_geo_bounds_counts():
 
 def test_geo_checker_streaming():
     got = []
-    checker = GeoBoundsChecker(
-        "latitude", "longitude", key_field="unique_key", emit=got.append,
-    )
+    checker = GeoBoundsChecker("latitude", "longitude", emit=got.append)
     res = feed(checker, {
         "unique_key": ["K1", "K2", "K3", "K4", "K5", "K6"],
         "latitude": ["40.70", "41.50", "nan", "inf", "40.70", "40.70"],
         "longitude": ["-74.00", "-74.00", "-74.00", "-74.00", "inf", "-inf"],
-    })
+    }, key_field="unique_key")
     assert res.pairs_checked == 2
     assert res.out_of_bounds == 1
     assert res.unparsed == 4                    # nan and +-inf on either side are not readings

@@ -27,7 +27,7 @@ class Collect(RowConsumer):
         self.rows = []
 
     def consume_batch(self, batch):
-        self.rows.extend(zip(batch.ordinals, batch.rows))
+        self.rows.extend(zip(batch.ordinals, map(list, zip(*batch.columns))))
 
 
 def read_all(path, emit=None):
@@ -110,6 +110,26 @@ def test_stream_sets_table_row_count(write_csv):
     p = write_csv("t.csv", "a\n1\n2\n3\n", dedent=False)
     table, _, result = read_all(p)
     assert table.row_count == result.row_count == 3
+
+
+class Locate(RowConsumer):
+    def __init__(self):
+        self.seen = []
+
+    def consume_batch(self, batch):
+        self.seen.extend(zip(batch.locators(), batch.agencies() or [None] * len(batch.ordinals)))
+
+
+def test_absent_key_and_agency_columns_fall_back(write_csv):
+    p = write_csv("t.csv", """\
+        a,b
+        x,1
+        y,2
+        """)
+    got, locate = [], Locate()
+    stream_rows(open_table(p), [locate], emit=got.append, key_field="key", agency_field="agency")
+    assert [(f.rule_id, f.fields) for f in got] == [("agency_field_missing", ("agency",))]
+    assert locate.seen == [(1, None), (2, None)]
 
 
 # ---------------------------------------------------------------- headers

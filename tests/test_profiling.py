@@ -24,9 +24,10 @@ from odqa.profiling import (
 from conftest import feed
 
 
-def collect(headers, rows, **kw):
+def collect(headers, rows, agency_field=None, **kw):
+    """Profiles of rows; emit, if given, also receives the stream's findings."""
     columns = {name: [row[i] for row in rows] for i, name in enumerate(headers)}
-    return feed(ProfileCollector(**kw), columns)
+    return feed(ProfileCollector(**kw), columns, agency_field=agency_field, emit=kw.get("emit"))
 
 
 def column_oracle(rows, i):
@@ -325,8 +326,8 @@ def test_collector_through_stream(write_csv):
         NYPD,Closed
         """)
     table = open_table(p)
-    pc = ProfileCollector(agency_field="agency")
-    stream_rows(table, [pc])
+    pc = ProfileCollector()
+    stream_rows(table, [pc], agency_field="agency")
     prof = {q.field: q for q in pc.profiles}
     assert prof["status"].present == 2
     assert prof["status"].missing == {"empty": 1}
@@ -392,8 +393,8 @@ def batch_columns(n_rows, seed=7):
 ])
 def test_batched_profiles_match_cell_by_cell_reference(n_rows, cap):
     columns = batch_columns(n_rows)
-    collector = ProfileCollector(distinct_cap=cap, sketch_capacity=20, top_k=7, agency_field="agency")
-    profiles = feed(collector, columns)
+    collector = ProfileCollector(distinct_cap=cap, sketch_capacity=20, top_k=7)
+    profiles = feed(collector, columns, agency_field="agency")
     for i, (name, values) in enumerate(columns.items()):
         want, sketch = reference_profile(values, columns["agency"], cap, 20, 7)
         p = profiles[i]

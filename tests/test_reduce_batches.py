@@ -170,9 +170,14 @@ def test_apply_blank_key_and_malformed_record_in_row_order(tmp_path, blank, malf
     ]
     src.write_text("k,s\n" + "\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    expected = (PlanError, f"^row {blank}: blank 'k'") if blank < malformed else (csv.Error, "expected after")
-    with pytest.raises(expected[0], match=expected[1]):
+    if blank < malformed:
+        message = f"row {blank}: blank 'k' under segregation"
+    else:
+        message = f"row {malformed}: ',' expected after '\"'; audit and repair before reducing"
+    with pytest.raises(PlanError) as info:
         apply_plan(open_table(src), plan_for(["k", "s"], segregate("s")), out, key_field="k")
+    assert type(info.value) is PlanError
+    assert str(info.value) == message
     assert list(out.iterdir()) == []
 
 
@@ -209,6 +214,16 @@ def test_reconstruct_refuses_a_row_of_another_width(tmp_path, bad, cells):
     main = reduced_files(tmp_path, rows)
     with pytest.raises(PlanError, match=f"row {bad}: {len(cells)} cells, expected 2 in "):
         rebuild(tmp_path, main)
+
+
+@pytest.mark.parametrize("bad", REBUILD_ROWS)
+def test_reconstruct_refuses_a_record_the_csv_reader_rejects(tmp_path, bad):
+    limit = csv.field_size_limit()
+    rows = [[f"K{o}", "1" * (limit + 1) if o == bad else "1"] for o in range(1, TOTAL + 1)]
+    main = reduced_files(tmp_path, rows)
+    with pytest.raises(PlanError) as info:
+        rebuild(tmp_path, main)
+    assert str(info.value) == f"row {bad}: field larger than field limit ({limit}) in {main}"
 
 
 @pytest.mark.parametrize("bad", REBUILD_ROWS)

@@ -1,26 +1,17 @@
 """Report assembly: ordering, determinism, renderings."""
 
-import hashlib
 import textwrap
 
 from odqa.findings import Finding, FindingSink, Measurement, Severity, make_finding
 from odqa.profiling import ColumnProfile
 from odqa.report import (
-    EXIT_CLEAN,
     EXIT_FINDINGS,
     AuditReport,
-    file_sha256,
     ordered_findings,
     render_markdown,
     render_pairs_csv,
     render_profiles_csv,
 )
-
-
-def test_file_sha256(tmp_path):
-    p = tmp_path / "x.bin"
-    p.write_bytes(b"abc" * 1000)
-    assert file_sha256(p) == hashlib.sha256(b"abc" * 1000).hexdigest()
 
 
 def test_ordered_findings_rule_then_locator_then_message():
@@ -50,7 +41,8 @@ def test_ordered_findings_rule_then_locator_then_message():
 
 def build_report(findings, threshold=Severity.WARNING, sections=None):
     sink = FindingSink(sample_cap=100)
-    sink.extend(findings)
+    for f in findings:
+        sink.emit(f)
     return AuditReport.build(
         dataset_path="data.csv",
         dataset_sha256="0" * 64,
@@ -74,19 +66,19 @@ def test_report_counts_and_severity_totals():
     ])
     assert report.counts == {"unobserved_field": 1, "zero_duration": 2}
     assert report.severity_totals == {"info": 1, "warning": 2}
-    assert report.total_findings == 3
-    assert report.exit_status(sink) == EXIT_FINDINGS
-    assert report.exit_status() == EXIT_FINDINGS          # recomputable from totals
+    assert sink.total() == 3
+    assert sink.count_at_or_above(Severity.WARNING) == 2
+    assert sink.count_at_or_above(Severity.ERROR) == 0
 
 
 def test_exit_clean_when_below_threshold():
     report, sink = build_report(
         [make_finding("unobserved_field", "quiet")], threshold=Severity.WARNING,
     )
-    assert report.exit_status(sink) == EXIT_CLEAN
-    assert report.exit_status() == EXIT_CLEAN
+    assert sink.count_at_or_above(report.severity_threshold) == 0
+    assert sink.count_at_or_above(Severity.INFO) == 1
     report2, sink2 = build_report([], threshold=Severity.INFO)
-    assert report2.exit_status(sink2) == EXIT_CLEAN
+    assert sink2.count_at_or_above(report2.severity_threshold) == 0
 
 
 def test_as_dict_shape_and_sample_ordering():

@@ -19,20 +19,19 @@ from odqa.temporal import (
     evaluate_hour_histogram,
     pair_duration,
 )
-from odqa.timestamps import TimestampParser, parse_timestamp
+from odqa.timestamps import parse_timestamp
 
 from conftest import feed
 
-P = TimestampParser()
 
-
-def audit(columns, **kw):
-    """(summary, findings) of a DurationAuditor on "created"/"closed" over columns."""
+def audit(columns, updated_field=None, **semantics):
+    """(summary, findings) of a DurationAuditor on "created"/"closed" over
+    columns; semantics are feed's key_field and agency_field."""
     got = []
     auditor = DurationAuditor(
-        created_field="created", closed_field="closed", parser=P, emit=got.append, **kw,
+        created_field="created", closed_field="closed", updated_field=updated_field, emit=got.append,
     )
-    return feed(auditor, columns), got
+    return feed(auditor, columns, **semantics), got
 
 
 # ------------------------------------------------------------ pair duration
@@ -380,7 +379,7 @@ def test_auditor_midnight_counts_both_sides():
 
 
 def test_auditor_requires_mapped_columns():
-    auditor = DurationAuditor(created_field="created", closed_field="nope", parser=P)
+    auditor = DurationAuditor(created_field="created", closed_field="nope")
     with pytest.raises(ValueError):
         feed(auditor, {name: [] for name in AUDIT_HEADERS})
 
@@ -392,7 +391,7 @@ def test_auditor_through_file(write_csv):
         K2,06/03/2023 10:00:00 AM,06/03/2023 10:00:00 AM
         """)
     table = open_table(p)
-    auditor = DurationAuditor(created_field="created", closed_field="closed", parser=P)
+    auditor = DurationAuditor(created_field="created", closed_field="closed")
     stream_rows(table, [auditor])
     assert auditor.summary.duration_count == 2
     assert auditor.summary.zero == 1
