@@ -1,15 +1,16 @@
 """Streaming CSV ingest.
 
-Reads RFC 4180 files (comma delimiter, double-quote quoting with quote
-doubling, LF or CRLF line ends, UTF-8 with optional BOM) in bounded
-memory. A single pass drives any number of consumers, so every audit
-check shares one read of the file. Delivered rows reach consumers in
-batches of BATCH_ROWS: stream_rows transposes each batch once, and the
-batch counts each column's distinct values, finds its missing values and
-parses its timestamps on first request, for every consumer at once. A
-consumer then judges each distinct value once and walks the rows only
-where findings must come out in row order, which keeps the per-cell cost
-low enough for multi-gigabyte inputs.
+read_records reads RFC 4180 files (comma delimiter, double-quote quoting
+with quote doubling, LF or CRLF line ends, UTF-8 with optional BOM) in
+bounded memory for every pass; apply and the rebuild refuse what the
+audit reports. One stream_rows pass drives any number of consumers, so
+every audit check shares one read of the file. Delivered rows reach
+consumers in batches of BATCH_ROWS: stream_rows transposes each batch
+once, and the batch counts each column's distinct values, finds its
+missing values and parses its timestamps on first request, for every
+consumer at once. A consumer then judges each distinct value once and
+walks the rows only where findings must come out in row order, which
+keeps the per-cell cost low enough for multi-gigabyte inputs.
 
 This module owns the run's row semantics. stream_rows takes the
 missing-value classifier, the timestamp parser and the key and agency
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, PlanError
 from .findings import Finding, make_finding
 from .timestamps import TimestampParser
 
@@ -278,18 +279,20 @@ class _LineFeed:
     file offset of the line the next __next__ call will return, which for
     csv parsing is the offset of the upcoming record. sha256 hashes every
     byte read, BOM included, so once the feed is exhausted it is the
-    file's digest without a second read.
+    file's digest without a second read. With errors "replace" invalid
+    UTF-8 decodes as U+FFFD; with "strict" it raises csv.Error.
     """
 
-    def __init__(self, fh):
+    def __init__(self, fh, errors: str):
         self._fh = fh
+        self.errors = errors
         self.sha256 = hashlib.sha256()
         self._lines: list[bytes] = []
         self._idx = 0
         self._tail = b""
         self._eof = False
         self.next_offset = 0
-        self._first = True
+        self.has_bom: bool | None = None    # known once the first chunk is read
 
     def __iter__(self):
         return self
@@ -306,9 +309,9 @@ class _LineFeed:
                     self._idx = 0
                     return True
                 return False
-            if self._first:
-                self._first = False
-                if chunk.startswith(BOM):
+            if self.has_bom is None:
+                self.has_bom = chunk.startswith(BOM)
+                if self.has_bom:
                     chunk = chunk[len(BOM):]
                     self.next_offset = len(BOM)
             data = self._tail + chunk
@@ -326,7 +329,83 @@ class _LineFeed:
         line = self._lines[self._idx]
         self._idx += 1
         self.next_offset += len(line)
-        return line.decode("utf-8", errors="replace")
+        try:
+            return line.decode("utf-8", errors=self.errors)
+        except UnicodeDecodeError as exc:   # read_records refuses it as a bad record
+            at = self.next_offset - len(line) + exc.start
+            raise csv.Error(f"invalid UTF-8 at byte {at} ({exc.reason})") from None
+
+
+# the read_records policies that refuse, each the end of its refusal messages
+REFUSE_INPUT = "; audit and repair before reducing"
+REFUSE_OWN = " in {}"       # formatted with the path
+
+
+def read_records(path: str | os.PathLike, size: int, policy: Callable[[Finding], None] | str):
+    """odqa's one CSV record reader: strict RFC 4180 quoting over path's lines.
+
+    Yields the _LineFeed reading path (its sha256 is the file's once all is
+    read) with the header row, then (ordinals, rows) per `size` records of
+    the header's width, ordinals 1-based. A bad record has another width or
+    quoting the csv reader rejects. An emit callable policy (the audit) gets
+    a ragged_row Finding at its ordinal or a malformed_quoting one at its
+    start byte, and reading goes on. REFUSE_INPUT (apply) and REFUSE_OWN
+    (files odqa wrote) also refuse invalid UTF-8: they yield the rows before
+    the bad record, then raise a PlanError naming its row and the byte
+    offset of invalid UTF-8. A blank line is not a record, but under
+    REFUSE_OWN, as odqa writes none, a row of 0 cells. A missing header or
+    one the csv reader rejects raises InputError, or PlanError when refusing.
+    """
+    refuse = None if callable(policy) else policy.format(path)
+    with open(path, "rb") as fh:
+        feed = _LineFeed(fh, "strict" if refuse else "replace")
+        reader = csv.reader(feed, strict=True)
+        try:
+            header = next(reader)
+        except (StopIteration, csv.Error) as exc:
+            why = f"header: {exc}" if isinstance(exc, csv.Error) else "no header row"
+            raise PlanError(f"{why}{refuse}") if refuse else InputError(f"{path}: {why}") from None
+        yield feed, header
+        width = len(header)
+        ordinal, ordinals, rows, failure = 0, [], [], None
+        while True:
+            record_offset = feed.next_offset
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                if refuse:
+                    failure = PlanError(f"row {ordinal + 1}: {exc}{refuse}")
+                    break
+                policy(make_finding(
+                    "malformed_quoting",
+                    f"unparseable record near byte {record_offset}: {exc}",
+                    row_locator=record_offset,
+                ))
+                continue
+            if not row and policy != REFUSE_OWN:
+                continue
+            ordinal += 1
+            if len(row) != width:
+                if refuse:
+                    failure = PlanError(f"row {ordinal}: {len(row)} cells, expected {width}{refuse}")
+                    break
+                policy(make_finding(
+                    "ragged_row",
+                    f"row {ordinal} has {len(row)} cells, expected {width}",
+                    row_locator=ordinal,
+                ))
+                continue
+            ordinals.append(ordinal)
+            rows.append(row)
+            if len(rows) == size:
+                yield ordinals, rows
+                ordinals, rows = [], []
+    if rows:
+        yield ordinals, rows
+    if failure:
+        raise failure
 
 
 def open_table(path: str | os.PathLike) -> RawTable:
@@ -335,19 +414,11 @@ def open_table(path: str | os.PathLike) -> RawTable:
     Unnamed columns get a synthesized name and an error Finding; collisions
     after normalization get "_2", "_3" suffixes and a warning Finding.
     Raises OSError if the file cannot be opened and InputError if it has
-    no header row.
+    no header row or one the csv reader rejects.
     """
     p = Path(path)
-    byte_size = p.stat().st_size
-    has_bom = _starts_with_bom(p)
     findings: list[Finding] = []
-    with open(p, "rb") as fh:
-        feed = _LineFeed(fh)
-        try:
-            reader = csv.reader(feed, strict=True)
-            raw_headers = next(reader)
-        except StopIteration:
-            raise InputError(f"{p}: no header row") from None
+    feed, raw_headers = next(read_records(p, BATCH_ROWS, findings.append))
 
     used: set[str] = set()
     headers: list[str] = []
@@ -379,15 +450,10 @@ def open_table(path: str | os.PathLike) -> RawTable:
         path=p,
         raw_headers=raw_headers,
         headers=headers,
-        byte_size=byte_size,
-        has_bom=has_bom,
+        byte_size=p.stat().st_size,
+        has_bom=bool(feed.has_bom),
         header_findings=findings,
     )
-
-
-def _starts_with_bom(p: Path) -> bool:
-    with open(p, "rb") as fh:
-        return fh.read(len(BOM)) == BOM
 
 
 @dataclass
@@ -411,14 +477,11 @@ def stream_rows(
 ) -> StreamResult:
     """Stream the table body through the consumers in one pass.
 
-    Delivered rows reach each consumer in Batches of BATCH_ROWS, the last
-    one shorter, all sharing one RowSemantics built from classifier,
-    parser (default: a TimestampParser with the default formats),
-    key_field and agency_field. Rows whose cell count differs from the
-    header width produce a ragged Finding and are not delivered; rows the
-    csv parser rejects produce a quoting Finding carrying the byte offset
-    of the record start. Both are recoverable: the stream continues with
-    the next record. Unreadable files raise OSError.
+    Each read_records batch reaches each consumer as a Batch of BATCH_ROWS
+    rows, the last one shorter, all sharing one RowSemantics built from
+    classifier, parser (default: a TimestampParser with the default
+    formats), key_field and agency_field. Ragged and malformed records are
+    reported through emit and skipped. Unreadable files raise OSError.
     """
     consumers = list(consumers)
     sink = emit if emit is not None else (lambda f: None)
@@ -428,64 +491,26 @@ def stream_rows(
     for c in consumers:
         c.start(table)
 
-    width = table.width
-    ordinal = 0
-    malformed = 0
-    ragged = 0
-    ordinals: list[int] = []
-    rows: list[list[str]] = []
+    skipped: Counter = Counter()
 
-    def deliver(batch: Batch) -> None:
+    def skip(f: Finding) -> None:
+        skipped[f.rule_id] += 1
+        sink(f)
+
+    delivered = 0
+    batches = read_records(table.path, BATCH_ROWS, skip)
+    feed, _header = next(batches)   # the header is already captured by open_table
+    for ordinals, rows in batches:
+        batch = Batch(ordinals, rows, semantics)
+        delivered += len(rows)
         for c in consumers:
             c.consume_batch(batch)
+        del batch, rows     # freed before the next batch is read
 
-    with open(table.path, "rb") as fh:
-        feed = _LineFeed(fh)
-        reader = csv.reader(feed, strict=True)
-        try:
-            next(reader)  # header, already captured by open_table
-        except StopIteration:
-            table.row_count = 0
-            for c in consumers:
-                c.finish()
-            return StreamResult(0, 0, 0, 0, feed.sha256.hexdigest())
-
-        while True:
-            record_offset = feed.next_offset
-            try:
-                row = next(reader)
-            except StopIteration:
-                break
-            except csv.Error as exc:
-                malformed += 1
-                sink(make_finding(
-                    "malformed_quoting",
-                    f"unparseable record near byte {record_offset}: {exc}",
-                    row_locator=record_offset,
-                ))
-                continue
-            if not row:
-                continue        # physically blank line, not a record
-            ordinal += 1
-            if len(row) != width:
-                ragged += 1
-                sink(make_finding(
-                    "ragged_row",
-                    f"row {ordinal} has {len(row)} cells, expected {width}",
-                    row_locator=ordinal,
-                ))
-                continue
-            ordinals.append(ordinal)
-            rows.append(row)
-            if len(rows) == BATCH_ROWS:
-                deliver(Batch(ordinals, rows, semantics))
-                ordinals, rows = [], []
-
-    if rows:
-        deliver(Batch(ordinals, rows, semantics))
-    table.row_count = ordinal
+    malformed, ragged = skipped["malformed_quoting"], skipped["ragged_row"]
+    table.row_count = delivered + ragged
     for c in consumers:
         c.finish()
     if malformed or ragged:
-        log.info("stream %s: %d malformed, %d ragged of %d records", table.path, malformed, ragged, ordinal)
-    return StreamResult(ordinal, ordinal - ragged, malformed, ragged, feed.sha256.hexdigest())
+        log.info("stream %s: %d malformed, %d ragged of %d records", table.path, malformed, ragged, table.row_count)
+    return StreamResult(table.row_count, delivered, malformed, ragged, feed.sha256.hexdigest())

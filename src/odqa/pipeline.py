@@ -179,8 +179,6 @@ def _run(cfg: AuditConfig, command: str, stages, write: bool) -> RunResult:
         next(stage, None)
     if fm.key:
         run.wanted[fm.key] = "fields.key"
-    if fm.agency:
-        run.wanted[fm.agency] = "fields.agency"
     missing = {name: why for name, why in run.wanted.items() if table.column_index(name) is None}
     if missing:
         parts = ", ".join(f"{name!r} (from {why})" for name, why in sorted(missing.items()))

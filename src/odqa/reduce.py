@@ -5,8 +5,9 @@ pair statistics, with byte estimates and a lossless label; lossy drops
 must be acknowledged in config. Apply writes, in one pass, the reduced
 main file, sidecars (sparse columns keyed by the unique key) and
 dictionaries (encoded columns); reconstruct inverts a lossless plan.
-Both build whole columns of REDUCE_BATCH_ROWS rows and write each row
-through _write_columns, quoting what csv.writer was seen to quote.
+Both read through ingest.read_records, which refuses any bad record, build
+whole columns of REDUCE_BATCH_ROWS rows and write each row through
+_write_columns, quoting what csv.writer was seen to quote.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import io
 import json
 import logging
 from dataclasses import dataclass, field as dc_field
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import PlanError
 from .findings import Measurement, make_finding
-from .ingest import DEFAULT_CLASSIFIER, MissingClassifier, RawTable, _LineFeed
+from .ingest import DEFAULT_CLASSIFIER, REFUSE_INPUT, REFUSE_OWN, MissingClassifier, RawTable, read_records
 from .profiling import ColumnProfile
 from .redundancy import ConcatStats, PairMatchStats
 
@@ -71,30 +72,6 @@ def _write_columns(fh, columns: Sequence[Sequence[str]], rows: int) -> None:
     fh.writelines(map(str.__add__, map(",".join, zip(*columns)), repeat("\n")))
 
 
-def _column_batches(records: Iterable[list[str]], width: int, suffix: str):
-    """Yield (rows before, row count, columns) per REDUCE_BATCH_ROWS records.
-    At a record of another width (zip would cut every column to it) or one the
-    csv reader rejects, the rows before it are yielded first, then a PlanError
-    naming its 1-based row, ending in suffix, is raised."""
-    done, n = 0, REDUCE_BATCH_ROWS
-    while n == REDUCE_BATCH_ROWS:
-        rows, failure = [], None
-        try:
-            rows.extend(islice(records, REDUCE_BATCH_ROWS))
-        except csv.Error as exc:
-            failure = PlanError(f"row {done + len(rows) + 1}: {exc}{suffix}")
-        n = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
-        if n < len(rows):
-            failure = PlanError(f"row {done + n + 1}: {len(rows[n])} cells, expected {width}{suffix}")
-        columns = list(zip(*rows[:n]))
-        del rows
-        if n:
-            yield done, n, columns
-        if failure:
-            raise failure
-        done += n
-
-
 def code_width_for(entry_count: int) -> int:
     """Digits needed for zero-based codes; at least 1 even for 0 or 1 entries."""
     if entry_count <= 1:
@@ -123,16 +100,16 @@ class ValueDictionary:
 
     @classmethod
     def read_csv(cls, field: str, path: str | Path) -> "ValueDictionary":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["code", "value"]:
-                raise PlanError(f"{path}: expected header code,value")
-            entries = []
-            for i, row in enumerate(reader):
-                if len(row) != 2 or int(row[0]) != i:
-                    raise PlanError(f"{path}: malformed entry at position {i}")
-                entries.append(row[1])
+        """Read what write_csv wrote; PlanError names the row of a bad record or code."""
+        batches = read_records(path, REDUCE_BATCH_ROWS, REFUSE_OWN)
+        if next(batches)[1] != ["code", "value"]:
+            raise PlanError(f"{path}: expected header code,value")
+        entries = []
+        for ordinals, rows in batches:
+            for o, (code, value) in zip(ordinals, rows):
+                if not code.isdecimal() or int(code) != o - 1:
+                    raise PlanError(f"{path}: row {o}: malformed entry at position {o - 1}")
+                entries.append(value)
         return cls(field, tuple(entries))
 
 
@@ -508,9 +485,10 @@ def apply_plan(
     Kept columns pass through; an encoded column is coded once per distinct
     value, in first-appearance order at the planned width. Output bytes
     depend only on input and plan. Measured savings are filled into the
-    plan actions. A structural mismatch aborts, as does the first ragged
-    row, blank key under segregation or outgrown code space in row order,
-    removing any partial outputs.
+    plan actions. A structural mismatch aborts, as does the first record
+    read_records refuses (a blank line is not one), blank key under
+    segregation or outgrown code space in row order, removing any partial
+    outputs.
     """
     _validate_plan(plan)
     out = Path(out_dir)
@@ -568,47 +546,45 @@ def apply_plan(
             _write_columns(fh, [["unique_key"], [name]], 1)
             side_cols.append((index_of[name], name, fh))
 
-        with open(table.path, "rb") as fh:
-            feed = _LineFeed(fh)
-            reader = csv.reader(feed, strict=True)
-            next(reader)  # header
-            records = filter(None, reader)      # a blank line is not a record
-            for done, n, columns in _column_batches(records, len(headers), "; audit and repair before reducing"):
-                for name in removed:
-                    removed_chars[name] += sum(map(len, columns[index_of[name]]))
-                # (row in batch, check order, error); the first in row-major order is raised
-                refusals = []
-                for order, (col_idx, name, side_fh) in enumerate(side_cols):
-                    col = columns[col_idx]
-                    present = {v for v in dict.fromkeys(col) if v and kind_of(v) is None}
-                    hits = [i for i, v in enumerate(col) if v in present] if present else []
-                    keys = [columns[key_idx][i] for i in hits]
-                    blank = next((i for i, k in zip(hits, keys) if not k or kind_of(k) is not None), None)
-                    if blank is not None:
-                        refusals.append((blank, order, PlanError(
-                            f"row {done + blank + 1}: blank {key_field!r} under segregation"
-                        )))
-                    _write_columns(side_fh, [keys, [col[i] for i in hits]], len(hits))
-                out_cols = [columns[i] for i in kept_idx]
-                for order, (pos, name, mapping, code_width, limit) in enumerate(encoders, len(side_cols)):
-                    col = out_cols[pos]
-                    encode_in_chars[name] += sum(map(len, col))
-                    for v in dict.fromkeys(col):
-                        if v not in mapping and v and kind_of(v) is None:
-                            if len(mapping) >= limit:
-                                refusals.append((col.index(v), order, EncodeCapExceeded(
-                                    f"{name!r}: value {v!r} does not fit the planned "
-                                    f"{code_width}-digit code space; the file changed since planning"
-                                )))
-                                break
-                            mapping[v] = str(len(mapping)).zfill(code_width)
-                    out_cols[pos] = codes = list(map(mapping.get, col, repeat("")))
-                    encode_out_chars[name] += code_width * (n - codes.count(""))
-                if refusals:
-                    raise min(refusals, key=lambda r: r[:2])[2]
-                _write_columns(main_fh, out_cols, n)
-                rows_written = done + n
-            input_sha256 = feed.sha256.hexdigest()
+        batches = read_records(table.path, REDUCE_BATCH_ROWS, REFUSE_INPUT)
+        feed, _header = next(batches)   # the header is already read by open_table
+        for ordinals, rows in batches:
+            n, columns = len(rows), list(zip(*rows))
+            for name in removed:
+                removed_chars[name] += sum(map(len, columns[index_of[name]]))
+            # (row in batch, check order, error); the first in row-major order is raised
+            refusals = []
+            for order, (col_idx, name, side_fh) in enumerate(side_cols):
+                col = columns[col_idx]
+                present = {v for v in dict.fromkeys(col) if v and kind_of(v) is None}
+                hits = [i for i, v in enumerate(col) if v in present] if present else []
+                keys = [columns[key_idx][i] for i in hits]
+                blank = next((i for i, k in zip(hits, keys) if not k or kind_of(k) is not None), None)
+                if blank is not None:
+                    refusals.append((blank, order, PlanError(
+                        f"row {ordinals[blank]}: blank {key_field!r} under segregation"
+                    )))
+                _write_columns(side_fh, [keys, [col[i] for i in hits]], len(hits))
+            out_cols = [columns[i] for i in kept_idx]
+            for order, (pos, name, mapping, code_width, limit) in enumerate(encoders, len(side_cols)):
+                col = out_cols[pos]
+                encode_in_chars[name] += sum(map(len, col))
+                for v in dict.fromkeys(col):
+                    if v not in mapping and v and kind_of(v) is None:
+                        if len(mapping) >= limit:
+                            refusals.append((col.index(v), order, EncodeCapExceeded(
+                                f"{name!r}: value {v!r} does not fit the planned "
+                                f"{code_width}-digit code space; the file changed since planning"
+                            )))
+                            break
+                        mapping[v] = str(len(mapping)).zfill(code_width)
+                out_cols[pos] = codes = list(map(mapping.get, col, repeat("")))
+                encode_out_chars[name] += code_width * (n - codes.count(""))
+            if refusals:
+                raise min(refusals, key=lambda r: r[:2])[2]
+            _write_columns(main_fh, out_cols, n)
+            rows_written = ordinals[-1]
+        input_sha256 = feed.sha256.hexdigest()
 
         for fh in opened:
             fh.close()
@@ -670,8 +646,9 @@ def reconstruct_table(
 
     Drops are rebuilt from their source or template, segregated columns
     from sidecars, encoded columns from dictionaries. PlanError refuses a
-    lossy drop, and names the 1-based row of a reduced row whose width
-    differs from its header or of a cell not coded in its dictionary.
+    lossy drop, and names the file and the 1-based row of a record
+    read_records refuses, a blank line included, or of a cell not coded in
+    its dictionary.
     """
     plan_headers = plan.headers
     drops = plan.actions_of("drop")
@@ -682,66 +659,65 @@ def reconstruct_table(
     side_maps: dict[str, dict[str, str]] = {}
     for action in plan.actions_of("segregate"):
         name = action.field
-        with open(sidecar_paths[name], newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["unique_key", name]:
-                raise PlanError(f"sidecar for {name!r} has header {header}")
-            side_maps[name] = dict(reader)
+        batches = read_records(sidecar_paths[name], REDUCE_BATCH_ROWS, REFUSE_OWN)
+        header = next(batches)[1]
+        if header != ["unique_key", name]:
+            raise PlanError(f"sidecar for {name!r} has header {header}")
+        side_maps[name] = dict(row for _, rows in batches for row in rows)
 
     decoders: dict[str, dict[str, str]] = {}
     for action in plan.actions_of("encode"):
         vd = ValueDictionary.read_csv(action.field, dictionary_paths[action.field])
         decoders[action.field] = {"": "", **dict(zip(vd.code_list(), vd.entries))}
 
-    with open(main_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        kept = next(reader)
-        kept_pos = {name: i for i, name in enumerate(kept)}
-        if key_field not in kept_pos:
-            raise PlanError(f"key field {key_field!r} missing from reduced file")
-        builders: dict[str, tuple] = {}
-        for action in drops:
-            if "duplicate_of" in action.details:
-                src = action.details["duplicate_of"]
-                if src not in kept_pos:
-                    raise PlanError(f"cannot rebuild {action.field!r}: source {src!r} was removed too")
-                builders[action.field] = ("copy", kept_pos[src])
-            else:
-                a, b = action.details["concat_of"]
-                template = action.details["template"]
-                prefix, rest = template.split("{a}", 1)
-                middle, suffix = rest.split("{b}", 1)
-                if a not in kept_pos or b not in kept_pos:
-                    raise PlanError(f"cannot rebuild {action.field!r}: sources were removed")
-                builders[action.field] = ("concat", kept_pos[a], kept_pos[b], prefix, middle, suffix)
+    batches = read_records(main_path, REDUCE_BATCH_ROWS, REFUSE_OWN)
+    kept = next(batches)[1]
+    kept_pos = {name: i for i, name in enumerate(kept)}
+    if key_field not in kept_pos:
+        raise PlanError(f"key field {key_field!r} missing from reduced file")
+    builders: dict[str, tuple] = {}
+    for action in drops:
+        if "duplicate_of" in action.details:
+            src = action.details["duplicate_of"]
+            if src not in kept_pos:
+                raise PlanError(f"cannot rebuild {action.field!r}: source {src!r} was removed too")
+            builders[action.field] = ("copy", kept_pos[src])
+        else:
+            a, b = action.details["concat_of"]
+            template = action.details["template"]
+            prefix, rest = template.split("{a}", 1)
+            middle, suffix = rest.split("{b}", 1)
+            if a not in kept_pos or b not in kept_pos:
+                raise PlanError(f"cannot rebuild {action.field!r}: sources were removed")
+            builders[action.field] = ("concat", kept_pos[a], kept_pos[b], prefix, middle, suffix)
 
-        with open(out_path, "w", newline="", encoding="utf-8") as out_fh:
-            header = plan.raw_headers if plan.raw_headers is not None else plan_headers
-            _write_columns(out_fh, [[name] for name in header], 1)
-            for done, n, columns in _column_batches(reader, len(kept), f" in {main_path}"):
-                keys = columns[kept_pos[key_field]]
-                out_cols = []
-                for name in plan_headers:
-                    pos = kept_pos.get(name)
-                    if pos is not None:
-                        col = columns[pos]
-                        decode = decoders.get(name)
-                        if decode is not None:
-                            col = list(map(decode.get, col))
-                            if None in col:
-                                i = col.index(None)
-                                raise PlanError(f"{main_path}: row {done + i + 1}: {name!r} cell "
-                                                f"{columns[pos][i]!r} is not a code in its dictionary")
-                        out_cols.append(col)
-                    elif name in side_maps:
-                        out_cols.append(list(map(side_maps[name].get, keys, repeat(""))))
-                    elif builders[name][0] == "copy":
-                        out_cols.append(columns[builders[name][1]])
-                    else:
-                        _, ia, ib, prefix, middle, suffix = builders[name]
-                        out_cols.append([
-                            f"{prefix}{va}{middle}{vb}{suffix}" if va and vb else ""
-                            for va, vb in zip(columns[ia], columns[ib])
-                        ])
-                _write_columns(out_fh, out_cols, n)
+    with open(out_path, "w", newline="", encoding="utf-8") as out_fh:
+        header = plan.raw_headers if plan.raw_headers is not None else plan_headers
+        _write_columns(out_fh, [[name] for name in header], 1)
+        for ordinals, rows in batches:
+            columns = list(zip(*rows))
+            keys = columns[kept_pos[key_field]]
+            out_cols = []
+            for name in plan_headers:
+                pos = kept_pos.get(name)
+                if pos is not None:
+                    col = columns[pos]
+                    decode = decoders.get(name)
+                    if decode is not None:
+                        col = list(map(decode.get, col))
+                        if None in col:
+                            i = col.index(None)
+                            raise PlanError(f"{main_path}: row {ordinals[i]}: {name!r} cell "
+                                            f"{columns[pos][i]!r} is not a code in its dictionary")
+                    out_cols.append(col)
+                elif name in side_maps:
+                    out_cols.append(list(map(side_maps[name].get, keys, repeat(""))))
+                elif builders[name][0] == "copy":
+                    out_cols.append(columns[builders[name][1]])
+                else:
+                    _, ia, ib, prefix, middle, suffix = builders[name]
+                    out_cols.append([
+                        f"{prefix}{va}{middle}{vb}{suffix}" if va and vb else ""
+                        for va, vb in zip(columns[ia], columns[ib])
+                    ])
+            _write_columns(out_fh, out_cols, len(rows))

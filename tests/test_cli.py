@@ -210,6 +210,32 @@ def test_reduce_apply_refusing_a_malformed_record_is_exit_2(tmp_path, capsys):
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == planned
 
 
+def test_reduce_apply_refusing_invalid_utf8_is_exit_2(tmp_path, capsys):
+    (tmp_path / "data.csv").write_bytes(b"k,s,v\nK1,,a\nK2,\xff,b\nK3,,c\n")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("input: data.csv\nout_dir: out\nfields: {key: k}\nplan: {segregate: [s]}\n", encoding="utf-8")
+    assert main(["reduce-plan", "--config", str(cfg)]) in (0, 1)
+    planned = sorted(p.name for p in (tmp_path / "out").iterdir())
+    capsys.readouterr()
+
+    assert main(["reduce-apply", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "odqa: error: row 2: invalid UTF-8 at byte 15 (invalid start byte); audit and repair before reducing\n"
+    )
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == planned
+
+
+def test_absent_agency_column_is_a_finding_not_an_error(tmp_path, capsys):
+    (tmp_path / "data.csv").write_text("k,v\nK1,a\nK2,b\n", encoding="utf-8")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("input: data.csv\nout_dir: out\nfields: {agency: agency}\n", encoding="utf-8")
+    assert main(["profile", "--config", str(cfg)]) != 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["finding_counts"]["agency_field_missing"] == 1
+    assert report["samples"]["agency_field_missing"][0]["fields"] == ["agency"]
+
+
 def test_configured_column_absent_is_exit_2(tmp_path, capsys):
     (tmp_path / "data.csv").write_text("a,b\n1,2\n", encoding="utf-8")
     cfg = tmp_path / "c.yaml"

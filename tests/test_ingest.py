@@ -1,11 +1,14 @@
 """Streaming CSV ingestion: framing, headers, missing-value vocabulary."""
 
 import hashlib
+import re
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import odqa
 from odqa.config import AuditConfig
 from odqa.errors import InputError
 from odqa.findings import FindingSink
@@ -286,3 +289,21 @@ def test_empty_file_is_an_input_error(tmp_path):
     p.write_bytes(b"")
     with pytest.raises(InputError, match="no header row"):
         open_table(p)
+
+
+def test_a_header_the_csv_reader_rejects_is_an_input_error(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(b'a,"b"x\n1,2\n')
+    with pytest.raises(InputError, match=f"^{re.escape(str(p))}: header: ',' expected after '\"'$"):
+        open_table(p)
+
+
+def test_one_csv_reader_in_the_package():
+    # every pass reads records through ingest.read_records; a second reader
+    # set-up would let one pass accept what another refuses
+    readers = {}
+    for path in sorted(Path(odqa.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        readers[path.name] = text.count("csv.reader(")
+        assert "_column_batches" not in text and "_starts_with_bom" not in text, path.name
+    assert {name: n for name, n in readers.items() if n} == {"ingest.py": 1}

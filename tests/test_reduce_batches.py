@@ -233,3 +233,60 @@ def test_reconstruct_refuses_a_cell_that_is_not_a_code(tmp_path, bad, code):
     main = reduced_files(tmp_path, rows)
     with pytest.raises(PlanError, match=f"row {bad}: 'v' cell '{code}' is not a code in its dictionary"):
         rebuild(tmp_path, main)
+
+
+@pytest.mark.parametrize("bad", [0, 1, B + 1, 2 * B + 3])     # 0 is the header
+def test_apply_refuses_invalid_utf8(tmp_path, bad):
+    src = tmp_path / "s.csv"
+    lines = [b"k,v"] + [b"K%d,v\xff" % o if o == bad else b"K%d,v" % o for o in range(1, TOTAL + 1)]
+    if bad == 0:
+        lines[0] = b"k,\xff"
+    src.write_bytes(b"\n".join(lines) + b"\n")
+    out = tmp_path / "out"
+    where = "header" if bad == 0 else f"row {bad}"
+    at = src.read_bytes().index(b"\xff")
+    table = open_table(src)
+    with pytest.raises(PlanError) as info:
+        apply_plan(table, plan_for(table.headers), out)
+    assert str(info.value) == (
+        f"{where}: invalid UTF-8 at byte {at} (invalid start byte); audit and repair before reducing"
+    )
+    assert list(out.iterdir()) == []
+
+
+# ------------------------------------------------------------------ own outputs read strictly
+
+OWN = {
+    "reduced.csv": b"k,v\nK1,0\nK2,1\n",
+    "s.sidecar.csv": b"unique_key,s\nK1,x\n",
+    "v.dict.csv": b"code,value\n0,alpha\n1,beta\n",
+}
+
+
+@pytest.mark.parametrize("name,data,message", [
+    pytest.param("s.sidecar.csv", b"unique_key,s\nK1\n", "row 1: 1 cells, expected 2 in {path}",
+                 id="sidecar-1-cell"),
+    pytest.param("s.sidecar.csv", b"unique_key,s\nK1,x,y\n", "row 1: 3 cells, expected 2 in {path}",
+                 id="sidecar-3-cells"),
+    pytest.param("v.dict.csv", b"code,value\n0,alpha\nx,beta\n", "{path}: row 2: malformed entry at position 1",
+                 id="dictionary-code-x"),
+    pytest.param("reduced.csv", b'k,v\nK1,0\n"K"2,1\n', "row 2: ',' expected after '\"' in {path}",
+                 id="reduced-quoting"),
+    pytest.param("s.sidecar.csv", b'unique_key,s\nK1,"x"y\n', "row 1: ',' expected after '\"' in {path}",
+                 id="sidecar-quoting"),
+    pytest.param("v.dict.csv", b'code,value\n0,"a"z\n1,beta\n', "row 1: ',' expected after '\"' in {path}",
+                 id="dictionary-quoting"),
+    pytest.param("reduced.csv", b"k,v\nK1,0\nK2,\xff\n",
+                 "row 2: invalid UTF-8 at byte 12 (invalid start byte) in {path}", id="reduced-utf8"),
+])
+def test_reconstruct_refuses_a_bad_record_in_any_file_it_reads(tmp_path, name, data, message):
+    for own, own_data in OWN.items():
+        (tmp_path / own).write_bytes(data if own == name else own_data)
+    plan = plan_for(["k", "s", "v"], segregate("s"), encode("v"))
+    with pytest.raises(PlanError) as info:
+        reconstruct_table(
+            plan, tmp_path / "reduced.csv", tmp_path / "rebuilt.csv",
+            sidecar_paths={"s": tmp_path / "s.sidecar.csv"},
+            dictionary_paths={"v": tmp_path / "v.dict.csv"}, key_field="k",
+        )
+    assert str(info.value) == message.format(path=tmp_path / name)
