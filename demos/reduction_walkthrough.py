@@ -61,7 +61,6 @@ reconstruct_table(
     plan, applied.main_path, rebuilt,
     sidecar_paths=applied.sidecar_paths,
     dictionary_paths=applied.dictionary_paths,
-    key_field="unique_key",
 )
 same = filecmp.cmp(fixture.csv_path, rebuilt, shallow=False)
 print(f"\nreconstruction byte-identical: {same}")

@@ -352,8 +352,8 @@ def read_records(path: str | os.PathLike, size: int, policy: Callable[[Finding],
     start byte, and reading goes on. REFUSE_INPUT (apply) and REFUSE_OWN
     (files odqa wrote) also refuse invalid UTF-8: they yield the rows before
     the bad record, then raise a PlanError naming its row and the byte
-    offset of invalid UTF-8. A blank line is not a record, but under
-    REFUSE_OWN, as odqa writes none, a row of 0 cells. A missing header or
+    offset of invalid UTF-8. A blank line is not a record, but when refusing,
+    as no rebuild restores one, a row of 0 cells. A missing header or
     one the csv reader rejects raises InputError, or PlanError when refusing.
     """
     refuse = None if callable(policy) else policy.format(path)
@@ -384,7 +384,7 @@ def read_records(path: str | os.PathLike, size: int, policy: Callable[[Finding],
                     row_locator=record_offset,
                 ))
                 continue
-            if not row and policy != REFUSE_OWN:
+            if not row and not refuse:
                 continue
             ordinal += 1
             if len(row) != width:

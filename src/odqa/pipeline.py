@@ -522,7 +522,6 @@ def run_reduce_apply(
     sink, _emit, table = _open(cfg)
     applied = apply_plan(
         table, plan, Path(cfg.out_dir),
-        key_field=cfg.field_map.key,
         classifier=cfg.classifier(),
     )
     sections = {"plan": plan.as_dict(), "apply": applied.as_dict()}

@@ -3,11 +3,12 @@
 A plan lists drop / segregate / encode actions built from profiles and
 pair statistics, with byte estimates and a lossless label; lossy drops
 must be acknowledged in config. Apply writes, in one pass, the reduced
-main file, sidecars (sparse columns keyed by the unique key) and
-dictionaries (encoded columns); reconstruct inverts a lossless plan.
-Both read through ingest.read_records, which refuses any bad record, build
-whole columns of REDUCE_BATCH_ROWS rows and write each row through
-_write_columns, quoting what csv.writer was seen to quote.
+main file, sidecars (the non-empty cells of sparse columns, keyed by their
+1-based row ordinal) and dictionaries (encoded columns); reconstruct
+inverts a lossless plan, merging each sidecar into the reduced file batch
+by batch. Both read through ingest.read_records, which refuses any bad
+record, build whole columns of REDUCE_BATCH_ROWS rows and write each row
+through _write_columns, quoting what csv.writer was seen to quote.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 from dataclasses import dataclass, field as dc_field
-from itertools import repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -26,8 +26,6 @@ from .findings import Measurement, make_finding
 from .ingest import DEFAULT_CLASSIFIER, REFUSE_INPUT, REFUSE_OWN, MissingClassifier, RawTable, read_records
 from .profiling import ColumnProfile
 from .redundancy import ConcatStats, PairMatchStats
-
-log = logging.getLogger(__name__)
 
 REDUCE_BATCH_ROWS = 64      # apply/rebuild batch; 256 rows of 1.1 KB raised peak RSS by 2%
 DEFAULT_SPARSE_THRESHOLD = 99.0
@@ -363,13 +361,7 @@ def build_plan(
         if field in protected:
             raise PlanError(f"refusing to segregate protected field {field!r}")
         prof = profile_of(field, "segregate")
-        key_chars = 0
-        if key_field:
-            key_prof = by_field.get(key_field)
-            if key_prof is not None and key_prof.present:
-                # sidecar key bytes scale with this column's present share
-                key_chars = round(key_prof.raw_chars * prof.present / max(key_prof.present, 1))
-        sidecar_est = prof.raw_chars + key_chars + prof.present + len(prof.field) + 12
+        sidecar_est = prof.raw_chars + prof.present * (len(str(row_count)) + 2) + len(prof.field) + 5
         actions.append(PlanAction(
             kind="segregate",
             field=field,
@@ -476,44 +468,32 @@ def apply_plan(
     plan: ReductionPlan,
     out_dir: str | Path,
     *,
-    key_field: str | None = None,
     classifier: MissingClassifier = DEFAULT_CLASSIFIER,
     main_name: str = "reduced.csv",
 ) -> ApplyResult:
     """Execute a plan in one streaming pass of REDUCE_BATCH_ROWS-row batches.
 
-    Kept columns pass through; an encoded column is coded once per distinct
-    value, in first-appearance order at the planned width. Output bytes
-    depend only on input and plan. Measured savings are filled into the
-    plan actions. A structural mismatch aborts, as does the first record
-    read_records refuses (a blank line is not one), blank key under
-    segregation or outgrown code space in row order, removing any partial
-    outputs.
+    Kept columns pass through; a segregated column's non-empty cells go to
+    its sidecar as `row,<column>` rows, row being the 1-based record
+    ordinal; an encoded column is coded once per distinct value, in
+    first-appearance order at the planned width. Output bytes depend only
+    on input and plan. Measured savings are filled into the plan actions
+    and table.row_count is set. A structural mismatch aborts, as does the
+    first record read_records refuses (a blank line among them) or
+    outgrown code space in row order, removing any partial outputs.
     """
     _validate_plan(plan)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     headers = table.headers
     index_of = {name: i for i, name in enumerate(headers)}
-    for action in plan.actions:
-        if action.field not in index_of:
-            raise PlanError(f"plan references field {action.field!r} not present in the table")
-    if plan.headers != headers:
+    if plan.headers != headers:     # _validate_plan checked that every action field is in plan.headers
         raise PlanError("plan header order does not match the table; rebuild the plan")
 
-    drops = {a.field: a for a in plan.actions_of("drop")}
-    segregates = {a.field: a for a in plan.actions_of("segregate")}
+    segregates = [a.field for a in plan.actions_of("segregate")]
     encodes = {a.field: a for a in plan.actions_of("encode")}
 
-    key_idx: int | None = None
-    if segregates:
-        if not key_field:
-            raise PlanError("segregation requires a configured unique key field")
-        key_idx = index_of.get(key_field)
-        if key_idx is None:
-            raise PlanError(f"unique key field {key_field!r} not present in the table")
-
-    removed = set(drops) | set(segregates)
+    removed = {a.field for a in plan.actions_of("drop")} | set(segregates)
     kept = [name for name in headers if name not in removed]
     kept_idx = [index_of[name] for name in kept]
     kept_pos = {name: pos for pos, name in enumerate(kept)}
@@ -543,8 +523,8 @@ def apply_plan(
         for name, p in sidecar_paths.items():
             fh = open(p, "w", newline="", encoding="utf-8")
             opened.append(fh)
-            _write_columns(fh, [["unique_key"], [name]], 1)
-            side_cols.append((index_of[name], name, fh))
+            _write_columns(fh, [["row"], [name]], 1)
+            side_cols.append((index_of[name], fh))
 
         batches = read_records(table.path, REDUCE_BATCH_ROWS, REFUSE_INPUT)
         feed, _header = next(batches)   # the header is already read by open_table
@@ -552,21 +532,14 @@ def apply_plan(
             n, columns = len(rows), list(zip(*rows))
             for name in removed:
                 removed_chars[name] += sum(map(len, columns[index_of[name]]))
-            # (row in batch, check order, error); the first in row-major order is raised
-            refusals = []
-            for order, (col_idx, name, side_fh) in enumerate(side_cols):
+            for col_idx, side_fh in side_cols:
                 col = columns[col_idx]
-                present = {v for v in dict.fromkeys(col) if v and kind_of(v) is None}
-                hits = [i for i, v in enumerate(col) if v in present] if present else []
-                keys = [columns[key_idx][i] for i in hits]
-                blank = next((i for i, k in zip(hits, keys) if not k or kind_of(k) is not None), None)
-                if blank is not None:
-                    refusals.append((blank, order, PlanError(
-                        f"row {ordinals[blank]}: blank {key_field!r} under segregation"
-                    )))
-                _write_columns(side_fh, [keys, [col[i] for i in hits]], len(hits))
+                values = list(compress(col, col))
+                _write_columns(side_fh, [list(map(str, compress(ordinals, col))), values], len(values))
+            # (row in batch, encoder order, error); the first in row-major order is raised
+            refusals = []
             out_cols = [columns[i] for i in kept_idx]
-            for order, (pos, name, mapping, code_width, limit) in enumerate(encoders, len(side_cols)):
+            for order, (pos, name, mapping, code_width, limit) in enumerate(encoders):
                 col = out_cols[pos]
                 encode_in_chars[name] += sum(map(len, col))
                 for v in dict.fromkeys(col):
@@ -607,6 +580,7 @@ def apply_plan(
                 p.unlink()
         raise
 
+    table.row_count = rows_written      # apply refuses a ragged row, so every record is written
     sidecar_bytes = sum(p.stat().st_size for p in sidecar_paths.values())
     dict_bytes = sum(p.stat().st_size for p in dict_paths.values())
     bytes_after = main_path.stat().st_size
@@ -633,6 +607,22 @@ def apply_plan(
     )
 
 
+def _sidecar_entries(path: str | Path, name: str):
+    """(sidecar row, ordinal, value) per record; PlanError names the row of
+    a bad record or of an ordinal that is not above the one before it."""
+    batches = read_records(path, REDUCE_BATCH_ROWS, REFUSE_OWN)
+    header = next(batches)[1]
+    if header != ["row", name]:
+        raise PlanError(f"{path}: header {','.join(header)!r}, expected 'row,{name}'")
+    last = 0
+    for ordinals, rows in batches:
+        for o, (cell, value) in zip(ordinals, rows):
+            if not cell.isdecimal() or int(cell) <= last:
+                raise PlanError(f"{path}: row {o}: {cell!r} is not a row ordinal above {last}")
+            last = int(cell)
+            yield o, last, value
+
+
 def reconstruct_table(
     plan: ReductionPlan,
     main_path: str | Path,
@@ -640,15 +630,19 @@ def reconstruct_table(
     *,
     sidecar_paths: dict[str, str | Path],
     dictionary_paths: dict[str, str | Path],
-    key_field: str,
+    key_field: str | None = None,
 ) -> None:
     """Invert a lossless reduction for verification, REDUCE_BATCH_ROWS rows at a time.
 
-    Drops are rebuilt from their source or template, segregated columns
-    from sidecars, encoded columns from dictionaries. PlanError refuses a
-    lossy drop, and names the file and the 1-based row of a record
-    read_records refuses, a blank line included, or of a cell not coded in
-    its dictionary.
+    Drops are rebuilt from their source or template, encoded columns from
+    dictionaries, and segregated columns by merging each sidecar, streamed
+    beside the reduced file, into the batch its ordinals fall in. PlanError
+    refuses a lossy drop, and names the file and the row of a record
+    read_records refuses (a blank line too), of a cell not in its
+    dictionary, of a sidecar header other than row,<column> and of a
+    sidecar ordinal that does not rise or is past the reduced file's end.
+    key_field is accepted and unused, as sidecars are keyed by ordinal; the
+    criterion 5 acceptance test and perfbench/child.py still pass it.
     """
     plan_headers = plan.headers
     drops = plan.actions_of("drop")
@@ -656,14 +650,10 @@ def reconstruct_table(
         if "duplicate_of" not in action.details and "concat_of" not in action.details:
             raise PlanError(f"drop of {action.field!r} is not reconstructible")
 
-    side_maps: dict[str, dict[str, str]] = {}
+    sidecars: dict[str, list] = {}      # field -> [entries, next entry or None]
     for action in plan.actions_of("segregate"):
-        name = action.field
-        batches = read_records(sidecar_paths[name], REDUCE_BATCH_ROWS, REFUSE_OWN)
-        header = next(batches)[1]
-        if header != ["unique_key", name]:
-            raise PlanError(f"sidecar for {name!r} has header {header}")
-        side_maps[name] = dict(row for _, rows in batches for row in rows)
+        entries = _sidecar_entries(sidecar_paths[action.field], action.field)
+        sidecars[action.field] = [entries, next(entries, None)]
 
     decoders: dict[str, dict[str, str]] = {}
     for action in plan.actions_of("encode"):
@@ -673,8 +663,6 @@ def reconstruct_table(
     batches = read_records(main_path, REDUCE_BATCH_ROWS, REFUSE_OWN)
     kept = next(batches)[1]
     kept_pos = {name: i for i, name in enumerate(kept)}
-    if key_field not in kept_pos:
-        raise PlanError(f"key field {key_field!r} missing from reduced file")
     builders: dict[str, tuple] = {}
     for action in drops:
         if "duplicate_of" in action.details:
@@ -691,12 +679,14 @@ def reconstruct_table(
                 raise PlanError(f"cannot rebuild {action.field!r}: sources were removed")
             builders[action.field] = ("concat", kept_pos[a], kept_pos[b], prefix, middle, suffix)
 
+    last = 0
     with open(out_path, "w", newline="", encoding="utf-8") as out_fh:
         header = plan.raw_headers if plan.raw_headers is not None else plan_headers
         _write_columns(out_fh, [[name] for name in header], 1)
         for ordinals, rows in batches:
+            # a reduced file's ordinals are contiguous: REFUSE_OWN refuses blank lines
+            first, last = ordinals[0], ordinals[-1]
             columns = list(zip(*rows))
-            keys = columns[kept_pos[key_field]]
             out_cols = []
             for name in plan_headers:
                 pos = kept_pos.get(name)
@@ -710,8 +700,13 @@ def reconstruct_table(
                             raise PlanError(f"{main_path}: row {ordinals[i]}: {name!r} cell "
                                             f"{columns[pos][i]!r} is not a code in its dictionary")
                     out_cols.append(col)
-                elif name in side_maps:
-                    out_cols.append(list(map(side_maps[name].get, keys, repeat(""))))
+                elif name in sidecars:
+                    entries, ahead = sidecars[name]
+                    out_cols.append(col := [""] * len(rows))
+                    while ahead is not None and ahead[1] <= last:
+                        col[ahead[1] - first] = ahead[2]
+                        ahead = next(entries, None)
+                    sidecars[name][1] = ahead
                 elif builders[name][0] == "copy":
                     out_cols.append(columns[builders[name][1]])
                 else:
@@ -721,3 +716,7 @@ def reconstruct_table(
                         for va, vb in zip(columns[ia], columns[ib])
                     ])
             _write_columns(out_fh, out_cols, len(rows))
+    for name, (_entries, ahead) in sidecars.items():
+        if ahead is not None:
+            raise PlanError(f"{sidecar_paths[name]}: row {ahead[0]}: ordinal {ahead[1]} "
+                            f"is past the reduced file's last row {last}")

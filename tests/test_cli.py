@@ -192,6 +192,8 @@ def test_reduce_plan_then_apply_round_trip(tmp_path, capsys):
     applied = json.loads((tmp_path / "out" / "apply_result.json").read_text(encoding="utf-8"))
     assert applied["rows_written"] == 50
     assert applied["measured_saved"] > 0
+    dataset = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["dataset"]
+    assert dataset["row_count"] == dataset["delivered_rows"] == applied["rows_written"]
     header = (tmp_path / "out" / "reduced.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "unique_key,borough,note"
 

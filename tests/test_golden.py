@@ -78,16 +78,16 @@ GOLDEN = {
     "dict-check/report.json:severity_totals": "0cab7e133bf2dda1",
     "dict-check/report.md": "a239e0423e478b73",
     "reduce-plan/pairs.csv": "4518188bbe95df07",
-    "reduce-plan/plan.json": "e8b4176446cef1b8",
+    "reduce-plan/plan.json": "36e31d183fe36bd2",
     "reduce-plan/profiles.csv": "5764a161591c176d",
-    "reduce-plan/report.json": "fc9bbc384286a268",
+    "reduce-plan/report.json": "0e186c1397c2095f",
     "reduce-plan/report.json:command": "4404cbc03c5d1979",
     "reduce-plan/report.json:config_digest": "c97ecce69011b8d4",
     "reduce-plan/report.json:dataset": "162c8a2936676e93",
     "reduce-plan/report.json:finding_counts": "dd1ebe7a3d246bf0",
     "reduce-plan/report.json:samples": "4e43b97d8ce3a413",
     "reduce-plan/report.json:schema_version": "6b86b273ff34fce1",
-    "reduce-plan/report.json:sections.plan": "44fd1e04bf027284",
+    "reduce-plan/report.json:sections.plan": "b6a6a5b42b34f7ab",
     "reduce-plan/report.json:sections.profiles": "645165f4bcee59b5",
     "reduce-plan/report.json:sections.redundancy": "d13453e97b16ac45",
     "reduce-plan/report.json:sections.stream": "3a4c59b90509c9e5",
@@ -96,22 +96,22 @@ GOLDEN = {
     "reduce-plan/report.json:severity_totals": "8215eff642df3c81",
     "reduce-plan/report.md": "bf38304cea9a9e08",
     "reduce-apply/agency.dict.csv": "df7a117c89f719ed",
-    "reduce-apply/apply_result.json": "0e82ac7babfa1877",
+    "reduce-apply/apply_result.json": "4d59c25613f43f11",
     "reduce-apply/complaint_type.dict.csv": "3e388458ab7e2860",
     "reduce-apply/reduced.csv": "ca9e06d7a756c5a8",
-    "reduce-apply/report.json": "1c29cfa3c29b2bc7",
+    "reduce-apply/report.json": "efe4bfd76ef21995",
     "reduce-apply/report.json:command": "603f910faa1edd80",
     "reduce-apply/report.json:config_digest": "c97ecce69011b8d4",
-    "reduce-apply/report.json:dataset": "a010826dfe0c99d0",
+    "reduce-apply/report.json:dataset": "162c8a2936676e93",
     "reduce-apply/report.json:finding_counts": "44136fa355b3678a",
     "reduce-apply/report.json:samples": "44136fa355b3678a",
     "reduce-apply/report.json:schema_version": "6b86b273ff34fce1",
-    "reduce-apply/report.json:sections.apply": "158a885b8a38d5db",
-    "reduce-apply/report.json:sections.plan": "62098b7bcfe2675c",
+    "reduce-apply/report.json:sections.apply": "530e7360b4425c8f",
+    "reduce-apply/report.json:sections.plan": "7ad8cb47cba2e605",
     "reduce-apply/report.json:severity_threshold": "c94f9df6f3f7bc69",
     "reduce-apply/report.json:severity_totals": "44136fa355b3678a",
     "reduce-apply/status.dict.csv": "711023f5a9c3d61d",
-    "reduce-apply/taxi_company_borough.sidecar.csv": "d9a97c7ebcd6921c",
+    "reduce-apply/taxi_company_borough.sidecar.csv": "751012ab8c2a3f32",
     "rebuild/rebuilt.csv": "b4d7721359980e95",
 }
 
@@ -156,7 +156,6 @@ def golden_digests(fixture, work: Path) -> dict[str, str]:
     reconstruct_table(
         result.plan, applied.main_path, rebuilt,
         sidecar_paths=applied.sidecar_paths, dictionary_paths=applied.dictionary_paths,
-        key_field=cfg.field_map.key,
     )
     out["rebuild/rebuilt.csv"] = _digest(rebuilt.read_text(encoding="utf-8"))
     return out

@@ -75,7 +75,7 @@ def encode_via_apply(values, out_dir):
     plan = ReductionPlan(
         baseline_bytes=src.stat().st_size, row_count=len(values), headers=["k", "v"], actions=[encode],
     )
-    applied = apply_plan(open_table(src), plan, out_dir / "out", key_field="k")
+    applied = apply_plan(open_table(src), plan, out_dir / "out")
     with open(applied.main_path, newline="", encoding="utf-8") as fh:
         encoded = [row[1] for row in list(csv.reader(fh))[1:]]
     return ValueDictionary.read_csv("v", applied.dictionary_paths["v"]), encoded
@@ -356,7 +356,7 @@ def test_plan_apply_reconstruct_end_to_end(tmp_path):
     ]
 
     out = tmp_path / "reduced"
-    applied = apply_plan(table, plan, out, key_field="unique_key")
+    applied = apply_plan(table, plan, out)
     assert applied.rows_written == 120
     assert applied.bytes_before == src.stat().st_size
     assert applied.bytes_after_main == applied.main_path.stat().st_size
@@ -370,7 +370,7 @@ def test_plan_apply_reconstruct_end_to_end(tmp_path):
     assert first[2] == "0"                      # first complaint took code 0
 
     side = applied.sidecar_paths["taxi_pickup"].read_text(encoding="utf-8")
-    assert side == "unique_key,taxi_pickup\nK0007,YELLOW\n"
+    assert side == "row,taxi_pickup\n8,YELLOW\n"          # K0007 is data row 8
     vd = ValueDictionary.read_csv("complaint", applied.dictionary_paths["complaint"])
     assert set(vd.entries) == set(COMPLAINTS)
 
@@ -386,7 +386,24 @@ def test_plan_apply_reconstruct_end_to_end(tmp_path):
         plan, applied.main_path, rebuilt,
         sidecar_paths=applied.sidecar_paths,
         dictionary_paths=applied.dictionary_paths,
-        key_field="unique_key",
+    )
+    assert filecmp.cmp(src, rebuilt, shallow=False)
+
+
+def test_keyless_plan_segregates_and_round_trips(tmp_path):
+    # sidecars are keyed by row ordinal, so segregation needs no key field
+    src = write_source(tmp_path / "source.csv")
+    table, profiles, pair_stats, concat_stats, stream = analyzed(src)
+    plan = build_plan(
+        profiles, pair_stats, baseline_bytes=table.byte_size, row_count=stream.delivered,
+        concat_stats=concat_stats, raw_headers=table.raw_headers,
+    )
+    assert [a.field for a in plan.actions_of("segregate")] == ["taxi_pickup"]
+    applied = apply_plan(table, plan, tmp_path / "out")
+    rebuilt = tmp_path / "rebuilt.csv"
+    reconstruct_table(
+        plan, applied.main_path, rebuilt,
+        sidecar_paths=applied.sidecar_paths, dictionary_paths=applied.dictionary_paths,
     )
     assert filecmp.cmp(src, rebuilt, shallow=False)
 
@@ -401,42 +418,7 @@ def test_apply_rejects_header_mismatch(tmp_path):
     )
     plan.headers = plan.headers[::-1]
     with pytest.raises(PlanError, match="header order"):
-        apply_plan(table, plan, tmp_path / "out", key_field="unique_key")
-
-
-def test_apply_segregation_needs_key(tmp_path):
-    src = write_source(tmp_path / "source.csv")
-    table, profiles, pair_stats, _, stream = analyzed(src)
-    plan = build_plan(
-        profiles, [], PlanPolicy(auto_drop_duplicates=False),
-        baseline_bytes=table.byte_size, row_count=stream.delivered,
-        key_field="unique_key",
-    )
-    assert plan.actions_of("segregate")
-    with pytest.raises(PlanError, match="unique key"):
-        apply_plan(table, plan, tmp_path / "out", key_field=None)
-    assert not (tmp_path / "out" / "reduced.csv").exists()
-
-
-def test_apply_blank_key_under_segregation_cleans_up(tmp_path):
-    src = tmp_path / "s.csv"
-    with open(src, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["k", "sparse"])
-        for i in range(100):
-            w.writerow(["" if i == 50 else f"K{i}", "v" if i == 50 else ""])
-    table = open_table(src)
-    profiles = []
-    pc = ProfileCollector()
-    stream = stream_rows(table, [pc])
-    profiles = pc.finish()
-    plan = build_plan(profiles, [], baseline_bytes=table.byte_size,
-                      row_count=stream.delivered, key_field="k")
-    assert plan.actions_of("segregate")
-    out = tmp_path / "out"
-    with pytest.raises(PlanError, match="blank"):
-        apply_plan(table, plan, out, key_field="k")
-    assert list(out.iterdir()) == []            # partial outputs removed
+        apply_plan(table, plan, tmp_path / "out")
 
 
 def test_apply_width_drift_aborts(tmp_path):
@@ -462,7 +444,7 @@ def test_apply_width_drift_aborts(tmp_path):
             w.writerow([f"K{i}", f"value nr {i % 9}"])
     out = tmp_path / "out"
     with pytest.raises(PlanError, match="rebuild the plan"):
-        apply_plan(open_table(src), plan, out, key_field="k")
+        apply_plan(open_table(src), plan, out)
     assert list(out.iterdir()) == []
 
 
@@ -487,7 +469,7 @@ def test_apply_code_space_overflow_aborts(tmp_path):
         for i in range(20):
             w.writerow([f"K{i}", f"value nr {i}"])
     with pytest.raises(EncodeCapExceeded):
-        apply_plan(open_table(src), plan, tmp_path / "out", key_field="k")
+        apply_plan(open_table(src), plan, tmp_path / "out")
 
 
 def test_reconstruct_refuses_lossy(tmp_path):
@@ -500,11 +482,11 @@ def test_reconstruct_refuses_lossy(tmp_path):
         ),
         baseline_bytes=table.byte_size, row_count=stream.delivered, key_field="unique_key",
     )
-    applied = apply_plan(table, plan, tmp_path / "out", key_field="unique_key")
+    applied = apply_plan(table, plan, tmp_path / "out")
     with pytest.raises(PlanError, match="not reconstructible"):
         reconstruct_table(
             plan, applied.main_path, tmp_path / "rebuilt.csv",
-            sidecar_paths={}, dictionary_paths={}, key_field="unique_key",
+            sidecar_paths={}, dictionary_paths={},
         )
 
 
@@ -524,12 +506,11 @@ def test_reconstruct_uses_normalized_headers_without_raw(tmp_path):
         baseline_bytes=table.byte_size, row_count=stream.delivered, key_field="k",
     )
     assert plan.raw_headers is None
-    applied = apply_plan(table, plan, tmp_path / "out", key_field="k")
+    applied = apply_plan(table, plan, tmp_path / "out")
     rebuilt = tmp_path / "rebuilt.csv"
     reconstruct_table(
         plan, applied.main_path, rebuilt,
         sidecar_paths=applied.sidecar_paths,
         dictionary_paths=applied.dictionary_paths,
-        key_field="k",
     )
     assert filecmp.cmp(src, rebuilt, shallow=False)

@@ -11,11 +11,16 @@ not read back from the implementation.
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import odqa
 from odqa.errors import PlanError
 from odqa.ingest import open_table
 from odqa.reduce import REDUCE_BATCH_ROWS as B
@@ -83,7 +88,7 @@ def refused(tmp_path, header, rows, plan):
     """apply_plan's refusal of the source; asserts it left no output behind."""
     out = tmp_path / "out"
     with pytest.raises(PlanError) as info:
-        apply_plan(open_table(write_rows(tmp_path / "s.csv", header, rows)), plan, out, key_field="k")
+        apply_plan(open_table(write_rows(tmp_path / "s.csv", header, rows)), plan, out)
     assert list(out.iterdir()) == []
     return info.value
 
@@ -102,20 +107,12 @@ def test_apply_refuses_a_ragged_row(tmp_path, bad):
     assert str(err) == f"row {bad}: 3 cells, expected 2; audit and repair before reducing"
 
 
-def test_apply_skips_blank_lines_when_counting_rows(tmp_path):
-    src = tmp_path / "s.csv"
-    body = "".join(f"K{o},v\n" + ("\n" * (B + 3) if o == 2 else "") for o in range(1, B + 2))
-    src.write_text("k,v\n" + body + "K,v,extra\n", encoding="utf-8")
-    with pytest.raises(PlanError, match=f"^row {B + 2}: 3 cells"):
-        apply_plan(open_table(src), plan_for(["k", "v"]), tmp_path / "out")
-
-
-@pytest.mark.parametrize("bad", EDGE_ROWS)
-def test_apply_refuses_a_blank_key_under_segregation(tmp_path, bad):
-    rows = [["" if o == bad else f"K{o}", "x" if o in (bad, 3) else ""] for o in range(1, TOTAL + 1)]
-    err = refused(tmp_path, ["k", "s"], rows, plan_for(["k", "s"], segregate("s")))
-    assert type(err) is PlanError
-    assert str(err) == f"row {bad}: blank 'k' under segregation"
+def test_apply_refuses_a_blank_line(tmp_path):
+    # no rebuild can restore a blank line, so apply refuses it as a row of 0
+    # cells; the audit skips it (test_ingest::test_blank_lines_are_skipped_silently)
+    rows = [[] if o == B + 1 else [f"K{o}", "v"] for o in range(1, TOTAL + 1)]
+    err = refused(tmp_path, ["k", "v"], rows, plan_for(["k", "v"]))
+    assert str(err) == f"row {B + 1}: 0 cells, expected 2; audit and repair before reducing"
 
 
 @pytest.mark.parametrize("bad", [11, B, B + 1, 2 * B + 1])     # ten codes fit before row 11
@@ -129,27 +126,15 @@ def test_apply_refuses_an_encode_overflow(tmp_path, bad):
     )
 
 
-@pytest.mark.parametrize("first,second", [(3, 7), (7, 3), (B + 9, B + 2)])
-def test_apply_names_the_first_blank_key_in_row_major_order(tmp_path, first, second):
-    # s1 is blank-keyed at row `first`, s2 at row `second`, both in one batch
-    rows = [
-        ["" if o in (first, second) else f"K{o}", "x" if o == first else "", "y" if o == second else ""]
-        for o in range(1, TOTAL + 1)
-    ]
-    plan = plan_for(["k", "s1", "s2"], segregate("s1"), segregate("s2"))
-    err = refused(tmp_path, ["k", "s1", "s2"], rows, plan)
-    assert str(err) == f"row {min(first, second)}: blank 'k' under segregation"
-
-
 @pytest.mark.parametrize("kind,row", [("ragged", 20), ("blank", 30), ("overflow", 40)])
 def test_apply_refusals_of_different_kinds_keep_row_order(tmp_path, kind, row):
     # one refusal of each kind in the same batch; only `kind` is at `row`,
-    # the others come later, so `kind` must be the one raised
+    # the others come later, so `kind` must be the one raised. A blank
+    # line is a row of 0 cells.
     at = {"ragged": 50, "blank": 55, "overflow": 60, kind: row}
     values = encoded_values(at["overflow"])
     rows = [
-        ["" if o == at["blank"] else f"K{o}", "x" if o == at["blank"] else "", v]
-        + (["extra"] if o == at["ragged"] else [])
+        [] if o == at["blank"] else [f"K{o}", "x", v] + (["extra"] if o == at["ragged"] else [])
         for o, v in enumerate(values, start=1)
     ]
     plan = plan_for(["k", "s", "v"], segregate("s"), encode("v"))
@@ -162,7 +147,8 @@ def test_apply_refusals_of_different_kinds_keep_row_order(tmp_path, kind, row):
 
 @pytest.mark.parametrize("blank,malformed", [(5, 10), (10, 5), (B + 3, 2 * B + 2)])
 def test_apply_blank_key_and_malformed_record_in_row_order(tmp_path, blank, malformed):
-    # the csv reader rejects record `malformed` after handing over the rows before it
+    # the csv reader rejects record `malformed` after handing over the rows
+    # before it; a blank-keyed row with a segregated value is no refusal
     src = tmp_path / "s.csv"
     lines = [
         'K,"x"y' if o == malformed else ",x" if o == blank else f"K{o},"
@@ -170,14 +156,10 @@ def test_apply_blank_key_and_malformed_record_in_row_order(tmp_path, blank, malf
     ]
     src.write_text("k,s\n" + "\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    if blank < malformed:
-        message = f"row {blank}: blank 'k' under segregation"
-    else:
-        message = f"row {malformed}: ',' expected after '\"'; audit and repair before reducing"
     with pytest.raises(PlanError) as info:
-        apply_plan(open_table(src), plan_for(["k", "s"], segregate("s")), out, key_field="k")
+        apply_plan(open_table(src), plan_for(["k", "s"], segregate("s")), out)
     assert type(info.value) is PlanError
-    assert str(info.value) == message
+    assert str(info.value) == f"row {malformed}: ',' expected after '\"'; audit and repair before reducing"
     assert list(out.iterdir()) == []
 
 
@@ -196,7 +178,7 @@ def reduced_files(tmp_path, cells):
 def rebuild(tmp_path, main):
     reconstruct_table(
         plan_for(["k", "v"], encode("v")), main, tmp_path / "rebuilt.csv",
-        sidecar_paths={}, dictionary_paths={"v": tmp_path / "v.dict.csv"}, key_field="k",
+        sidecar_paths={}, dictionary_paths={"v": tmp_path / "v.dict.csv"},
     )
 
 
@@ -258,26 +240,37 @@ def test_apply_refuses_invalid_utf8(tmp_path, bad):
 
 OWN = {
     "reduced.csv": b"k,v\nK1,0\nK2,1\n",
-    "s.sidecar.csv": b"unique_key,s\nK1,x\n",
+    "s.sidecar.csv": b"row,s\n1,x\n",
     "v.dict.csv": b"code,value\n0,alpha\n1,beta\n",
 }
 
 
+def sidecar_case(data, message, id):
+    return pytest.param("s.sidecar.csv", b"row,s\n" + data, message, id=id)
+
+
 @pytest.mark.parametrize("name,data,message", [
-    pytest.param("s.sidecar.csv", b"unique_key,s\nK1\n", "row 1: 1 cells, expected 2 in {path}",
-                 id="sidecar-1-cell"),
-    pytest.param("s.sidecar.csv", b"unique_key,s\nK1,x,y\n", "row 1: 3 cells, expected 2 in {path}",
-                 id="sidecar-3-cells"),
+    sidecar_case(b"1\n", "row 1: 1 cells, expected 2 in {path}", "sidecar-1-cell"),
+    sidecar_case(b"1,x,y\n", "row 1: 3 cells, expected 2 in {path}", "sidecar-3-cells"),
     pytest.param("v.dict.csv", b"code,value\n0,alpha\nx,beta\n", "{path}: row 2: malformed entry at position 1",
                  id="dictionary-code-x"),
     pytest.param("reduced.csv", b'k,v\nK1,0\n"K"2,1\n', "row 2: ',' expected after '\"' in {path}",
                  id="reduced-quoting"),
-    pytest.param("s.sidecar.csv", b'unique_key,s\nK1,"x"y\n', "row 1: ',' expected after '\"' in {path}",
-                 id="sidecar-quoting"),
+    sidecar_case(b'1,"x"y\n', "row 1: ',' expected after '\"' in {path}", "sidecar-quoting"),
     pytest.param("v.dict.csv", b'code,value\n0,"a"z\n1,beta\n', "row 1: ',' expected after '\"' in {path}",
                  id="dictionary-quoting"),
     pytest.param("reduced.csv", b"k,v\nK1,0\nK2,\xff\n",
                  "row 2: invalid UTF-8 at byte 12 (invalid start byte) in {path}", id="reduced-utf8"),
+    pytest.param("s.sidecar.csv", b"unique_key,s\nK1,x\n", "{path}: header 'unique_key,s', expected 'row,s'",
+                 id="sidecar-keyed-by-unique-key"),
+    sidecar_case(b"1,x\n\n2,y\n", "row 2: 0 cells, expected 2 in {path}", "sidecar-blank-line"),
+    sidecar_case(b"x,a\n", "{path}: row 1: 'x' is not a row ordinal above 0", "sidecar-ordinal-x"),
+    sidecar_case(b" 1,a\n", "{path}: row 1: ' 1' is not a row ordinal above 0", "sidecar-ordinal-space"),
+    sidecar_case(b"0,a\n", "{path}: row 1: '0' is not a row ordinal above 0", "sidecar-ordinal-0"),
+    sidecar_case(b"1,a\n1,b\n", "{path}: row 2: '1' is not a row ordinal above 1", "sidecar-ordinal-repeats"),
+    sidecar_case(b"2,a\n1,b\n", "{path}: row 2: '1' is not a row ordinal above 2", "sidecar-ordinal-goes-down"),
+    sidecar_case(b"1,a\n3,b\n", "{path}: row 2: ordinal 3 is past the reduced file's last row 2",
+                 "sidecar-ordinal-past-end"),
 ])
 def test_reconstruct_refuses_a_bad_record_in_any_file_it_reads(tmp_path, name, data, message):
     for own, own_data in OWN.items():
@@ -287,6 +280,95 @@ def test_reconstruct_refuses_a_bad_record_in_any_file_it_reads(tmp_path, name, d
         reconstruct_table(
             plan, tmp_path / "reduced.csv", tmp_path / "rebuilt.csv",
             sidecar_paths={"s": tmp_path / "s.sidecar.csv"},
-            dictionary_paths={"v": tmp_path / "v.dict.csv"}, key_field="k",
+            dictionary_paths={"v": tmp_path / "v.dict.csv"},
         )
     assert str(info.value) == message.format(path=tmp_path / name)
+
+
+def test_reconstruct_reads_its_own_files(tmp_path):
+    # the OWN files are well formed: each refusal above comes from its one edit
+    for own, own_data in OWN.items():
+        (tmp_path / own).write_bytes(own_data)
+    reconstruct_table(
+        plan_for(["k", "s", "v"], segregate("s"), encode("v")), tmp_path / "reduced.csv", tmp_path / "rebuilt.csv",
+        sidecar_paths={"s": tmp_path / "s.sidecar.csv"}, dictionary_paths={"v": tmp_path / "v.dict.csv"},
+    )
+    assert (tmp_path / "rebuilt.csv").read_bytes() == b"k,s,v\nK1,x,alpha\nK2,,beta\n"
+
+
+# ------------------------------------------------------------------ sidecars keyed by row ordinal
+
+def round_trip(tmp_path, header, rows, plan):
+    """Apply plan to the rows and rebuild them; returns (source, rebuilt) bytes."""
+    src = write_rows(tmp_path / "s.csv", header, rows)
+    applied = apply_plan(open_table(src), plan, tmp_path / "out")
+    reconstruct_table(
+        plan, applied.main_path, tmp_path / "rebuilt.csv",
+        sidecar_paths=applied.sidecar_paths, dictionary_paths=applied.dictionary_paths,
+    )
+    return src.read_bytes(), (tmp_path / "rebuilt.csv").read_bytes()
+
+
+def test_segregated_value_on_a_duplicated_key_round_trips(tmp_path):
+    # K7 appears twice, with a different segregated value each time
+    rows = [[f"K{o}", "X" if o == 7 else "", "a"] for o in range(1, 200)] + [["K7", "Y", "b"]]
+    src, rebuilt = round_trip(tmp_path, ["k", "s", "v"], rows, plan_for(["k", "s", "v"], segregate("s")))
+    assert rebuilt == src
+
+
+def test_blank_keyed_rows_round_trip(tmp_path):
+    rows = [["" if o in EDGE_ROWS else f"K{o}", "x" if o in EDGE_ROWS or o == 3 else ""] for o in range(1, TOTAL + 1)]
+    src, rebuilt = round_trip(tmp_path, ["k", "s"], rows, plan_for(["k", "s"], segregate("s")))
+    assert rebuilt == src
+
+
+def test_missing_tokens_in_a_segregated_column_round_trip(tmp_path):
+    # only empty cells stay out of a sidecar; what the classifier calls
+    # missing is text to keep
+    tokens = {1: "NA", B: " NA ", B + 1: "   ", B + 2: "\t", 2 * B + 1: "N/A", TOTAL: "null"}
+    rows = [[f"K{o}", tokens.get(o, "")] for o in range(1, TOTAL + 1)]
+    src, rebuilt = round_trip(tmp_path, ["k", "s"], rows, plan_for(["k", "s"], segregate("s")))
+    assert rebuilt == src
+    sidecar = (tmp_path / "out" / "s.sidecar.csv").read_text(encoding="utf-8")
+    assert sidecar == "row,s\n" + "".join(f"{o},{v}\n" for o, v in sorted(tokens.items()))
+
+
+# A fresh interpreter's ru_maxrss starts at the RSS of the process it was
+# forked from, so the rebuild runs under a small launcher, not under pytest.
+LAUNCH = (
+    "import subprocess, sys; print(subprocess.run([sys.executable, '-c', *sys.argv[1:]],"
+    " capture_output=True, text=True, check=True).stdout, end='')"
+)
+REBUILD_PEAK = """
+import resource, sys
+from pathlib import Path
+from odqa.reduce import ReductionPlan, reconstruct_table
+out = Path(sys.argv[1])
+reconstruct_table(ReductionPlan.read_json(out / "plan.json"), out / "reduced.csv", out / "rebuilt.csv",
+                  sidecar_paths={"s": out / "s.sidecar.csv"}, dictionary_paths={})
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def rebuild_peak_kb(tmp_path, rows):
+    """Peak RSS in KiB of a fresh interpreter rebuilding `rows` rows whose
+    segregated column is present on every row."""
+    out = tmp_path / str(rows)
+    out.mkdir()
+    src = out / "source.csv"
+    with open(src, "w", encoding="utf-8", newline="") as fh:
+        fh.write("k,s\n")
+        fh.writelines(f"K{o},value {o}\n" for o in range(1, rows + 1))
+    plan = plan_for(["k", "s"], segregate("s"))
+    apply_plan(open_table(src), plan, out)
+    plan.write_json(out / "plan.json")
+    env = {**os.environ, "PYTHONPATH": str(Path(odqa.__file__).resolve().parents[1])}
+    child = subprocess.run([sys.executable, "-c", LAUNCH, REBUILD_PEAK, str(out)],
+                           env=env, capture_output=True, text=True, check=True)
+    assert (out / "rebuilt.csv").read_bytes() == src.read_bytes()
+    return int(child.stdout)
+
+
+def test_rebuild_memory_does_not_grow_with_sidecar_rows(tmp_path):
+    small, large = rebuild_peak_kb(tmp_path, 100_000), rebuild_peak_kb(tmp_path, 400_000)
+    assert large <= 1.1 * small, f"rebuild peak RSS {small} KiB at 100k rows, {large} KiB at 400k"
