@@ -48,7 +48,7 @@ RULE_CATALOG: dict[str, tuple[Severity, str]] = {
     "reference_unreadable": (Severity.ERROR, "domain reference file missing or unreadable"),
     # profiling
     "agency_field_missing": (Severity.WARNING, "configured agency attribution field not in header"),
-    "approximate_profile": (Severity.INFO, "distinct cap exceeded; value counts switched to a sketch"),
+    "approximate_profile": (Severity.INFO, "distinct cap exceeded; top values come from a merge-and-prune sketch"),
     "mostly_empty_field": (Severity.INFO, "field sits in the mostly-empty missingness tier"),
     # temporal
     "negative_duration": (Severity.ERROR, "closed timestamp precedes created timestamp"),

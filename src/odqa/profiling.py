@@ -3,18 +3,23 @@
 Per column: missing counts split by sentinel kind, present and distinct
 counts, top values, per-agency presence, and raw size. Value counting is
 exact up to a configurable distinct cap; past the cap the column switches
-to a Space-Saving heavy-hitters sketch and the profile is flagged
-approximate. distinct then reports the cap as a lower bound.
+to a mergeable heavy-hitters summary (SpaceSavingSketch) and the profile
+is flagged approximate. distinct then reports the cap as a lower bound.
 
 Each column is counted per Batch from the batch's shared value counts
 and missing values, so the per-cell work runs in C: missing kinds add up
 per distinct missing value, raw size is the sum of the cell lengths, and
 per-agency presence is one Counter over the agencies of the rows whose
 cell is present. A column's batch counts merge into its exact counts
-only when the new distinct values cannot pass the cap; otherwise, and
-for columns already in the sketch, the batch's present values are
-replayed one by one in row order, so the row that crosses the cap and
-every sketch update are the same as counting cell by cell.
+while the new distinct values cannot pass the cap, so a column becomes
+approximate exactly when its true distinct count passes the cap. The
+batch that would pass it installs the exact counts into a sketch and is
+merged there, as is every later batch. The sketch holds at most
+2 x sketch_capacity counters plus one batch, and every top count it
+reports is at least the true count and at most present/(sketch_capacity+1)
+above it. Where the sketch prunes depends on the batch boundaries, so an
+approximate column's top values depend on ingest.BATCH_ROWS; exact
+columns do not.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
+from operator import neg
 from typing import Iterable, Sequence
 
 from .findings import Measurement, make_finding
@@ -49,79 +55,68 @@ def missing_tier(blank_pct: float) -> str:
     return TIER_PARTIAL
 
 
-class SpaceSavingSketch:
-    """Space-Saving heavy hitters with deterministic eviction.
+def _add_counts(into: dict[str, int], counts: dict[str, int], seen: Iterable[str]) -> None:
+    """Add counts into into. seen holds the values both already share: only
+    those are added one by one, the rest go in with one C-level update, in
+    first-appearance order."""
+    prior = {v: into[v] for v in seen}
+    into.update(counts)
+    for v, n in prior.items():
+        into[v] += n
 
-    Counts are exact while distinct values fit the capacity; afterwards a
-    new value replaces the oldest minimum-count entry and inherits its
-    count plus one, with the inherited amount kept as the entry's error
-    bound. Ties evict the longest-resident entry so identical streams
-    always produce identical sketches.
+
+def top_k(counts: dict[str, int], k: int) -> list[tuple[str, int]]:
+    """The k largest counts, ties by value ascending.
+
+    The order of heapq.nsmallest(k, counts.items(), key=lambda kv: (-kv[1], kv[0])),
+    with each (-count, value) key built in C by zip instead of a Python call
+    per entry.
+    """
+    return [(v, -n) for n, v in heapq.nsmallest(k, zip(map(neg, counts.values()), counts))]
+
+
+class SpaceSavingSketch:
+    """A mergeable heavy-hitters summary of at most 2 x capacity counters.
+
+    merge adds a batch's value counts to the counters; once they number
+    more than 2 x capacity they are pruned: t, the (capacity+1)-th largest
+    counter, is taken off every counter, those left at or below 0 are
+    dropped, and t is added to a running floor (Misra-Gries, mergeable as
+    in Agarwal et al., PODS 2012). top prunes down to capacity counters
+    the same way and reports counter + floor, the Space-Saving count
+    (Metwally et al., ICDT 2005): for every reported value
+    true <= reported <= true + N/(capacity+1) over the N counted cells,
+    and every value with true > N/(capacity+1) is reported. The result
+    depends only on the merged batches and their order.
     """
 
-    __slots__ = ("capacity", "_count", "_error", "_buckets", "_min")
+    __slots__ = ("capacity", "_count", "_floor")
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("sketch capacity must be positive")
         self.capacity = capacity
         self._count: dict[str, int] = {}
-        self._error: dict[str, int] = {}
-        self._buckets: dict[int, dict[str, None]] = {}
-        self._min = 1
+        self._floor = 0
 
     def __len__(self) -> int:
         return len(self._count)
 
-    def _move(self, value: str, old: int, new: int) -> None:
-        bucket = self._buckets[old]
-        del bucket[value]
-        if not bucket:
-            del self._buckets[old]
-        self._buckets.setdefault(new, {})[value] = None
-        self._count[value] = new
+    def merge(self, counts: dict[str, int]) -> None:
+        """Add a batch's value counts, pruning past 2 x capacity counters."""
+        _add_counts(self._count, counts, counts.keys() & self._count.keys())
+        if len(self._count) > 2 * self.capacity:
+            self._prune()
 
-    def update(self, value: str, by: int = 1) -> None:
-        current = self._count.get(value)
-        if current is not None:
-            self._move(value, current, current + by)
-            return
-        if len(self._count) < self.capacity:
-            self._count[value] = by
-            self._error[value] = 0
-            self._buckets.setdefault(by, {})[value] = None
-            if by < self._min or len(self._count) == 1:
-                self._min = by
-            return
-        while self._min not in self._buckets:
-            self._min += 1
-        bucket = self._buckets[self._min]
-        victim = next(iter(bucket))
-        del bucket[victim]
-        if not bucket:
-            del self._buckets[self._min]
-        del self._count[victim]
-        del self._error[victim]
-        floor = self._min
-        self._count[value] = floor + by
-        self._error[value] = floor
-        self._buckets.setdefault(floor + by, {})[value] = None
-
-    def seed(self, counts: dict[str, int]) -> None:
-        """Install exact counts (used when a column overflows its cap)."""
-        ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        for value, count in ordered[: self.capacity]:
-            self._count[value] = count
-            self._error[value] = 0
-            self._buckets.setdefault(count, {})[value] = None
-        self._min = min(self._count.values(), default=1)
+    def _prune(self) -> None:
+        t = sorted(self._count.values(), reverse=True)[self.capacity]
+        self._count = {v: n - t for v, n in self._count.items() if n > t}
+        self._floor += t
 
     def top(self, k: int) -> list[tuple[str, int]]:
-        items = sorted(self._count.items(), key=lambda kv: (-kv[1], kv[0]))
-        return items[:k]
-
-    def error_of(self, value: str) -> int:
-        return self._error.get(value, 0)
+        if len(self._count) > self.capacity:
+            self._prune()
+        return [(v, n + self._floor) for v, n in top_k(self._count, k)]
 
 
 @dataclass
@@ -223,31 +218,12 @@ class ProfileCollector(RowConsumer):
             if counts is not None:
                 seen = present.keys() & counts.keys()   # `&` walks the smaller side
                 if len(counts) + len(present) - len(seen) <= self._cap:
-                    prior = {v: counts[v] for v in seen}
-                    counts.update(present)
-                    for v, n in prior.items():
-                        counts[v] += n
+                    _add_counts(counts, present, seen)
                     continue
-            self._replay(i, filter(present.__contains__, column))
-
-    def _replay(self, i: int, values: Iterable[str]) -> None:
-        """Count present values one by one in row order, switching the
-        column to a sketch on the value that would pass the distinct cap."""
-        counts = self._counts[i]
-        sketch = self._sketches[i]
-        for v in values:
-            if counts is not None:
-                n = counts.get(v)
-                if n is not None:
-                    counts[v] = n + 1
-                    continue
-                if len(counts) < self._cap:
-                    counts[v] = 1
-                    continue
-                sketch = self._sketches[i] = SpaceSavingSketch(self._sketch_capacity)
-                sketch.seed(counts)
-                counts = self._counts[i] = None
-            sketch.update(v)
+                self._sketches[i] = SpaceSavingSketch(self._sketch_capacity)
+                self._sketches[i].merge(counts)
+                self._counts[i] = None
+            self._sketches[i].merge(present)
 
     def finish(self) -> list[ColumnProfile]:
         out: list[ColumnProfile] = []
@@ -255,7 +231,7 @@ class ProfileCollector(RowConsumer):
             counts = self._counts[i]
             sketch = self._sketches[i]
             if counts is not None:
-                top = heapq.nsmallest(self._top_k, counts.items(), key=lambda kv: (-kv[1], kv[0]))
+                top = top_k(counts, self._top_k)
                 distinct = len(counts)
                 approximate = False
             else:

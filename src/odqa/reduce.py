@@ -271,10 +271,10 @@ def build_plan(
     with equal blank masks reads as lossless; config may force others as
     acknowledged lossy drops), plus concatenation targets that match
     their template on every considered row. Segregation targets are the
-    mostly-blank columns at or past the sparse threshold. Encode actions
-    cover the requested fields when their distinct count fits the cap and
-    the value text is wider than the code; refusals are findings, not
-    errors. Conflicting instructions and unacknowledged lossy drops
+    mostly-blank columns at or past the sparse threshold whose estimated
+    sidecar is smaller than the column. Encode actions cover the
+    requested fields when their distinct count fits the cap and the value
+    text is wider than the code; refusals are findings, not errors. Conflicting instructions and unacknowledged lossy drops
     raise PlanError.
     """
     sink = emit if emit is not None else (lambda f: None)
@@ -349,11 +349,17 @@ def build_plan(
                 break
         add_drop(field, "requested in config", lossless, details)
 
+    def sidecar_bytes(prof: ColumnProfile) -> int:
+        # the sidecar holds every non-empty cell, missing tokens included
+        cells = prof.total - prof.missing.get("empty", 0)
+        return prof.raw_chars + cells * (len(str(row_count)) + 2) + len(prof.field) + 5
+
     if policy.segregate_fields is None:
         segregate = [
             p.field for p in profiles
             if p.blank_pct >= policy.sparse_threshold and p.field not in planned_remove
             and p.field not in protected and p.total > 0
+            and sidecar_bytes(p) < _column_footprint(p, row_count)
         ]
     else:
         segregate = [f for f in policy.segregate_fields if f not in planned_remove]
@@ -361,14 +367,13 @@ def build_plan(
         if field in protected:
             raise PlanError(f"refusing to segregate protected field {field!r}")
         prof = profile_of(field, "segregate")
-        sidecar_est = prof.raw_chars + prof.present * (len(str(row_count)) + 2) + len(prof.field) + 5
         actions.append(PlanAction(
             kind="segregate",
             field=field,
             reason=f"{prof.blank_pct:.1f}% blank; present rows move to a sidecar",
             lossless=True,
             estimated_bytes_saved=_column_footprint(prof, row_count),
-            details={"blank_pct": round(prof.blank_pct, 4), "estimated_sidecar_bytes": sidecar_est},
+            details={"blank_pct": round(prof.blank_pct, 4), "estimated_sidecar_bytes": sidecar_bytes(prof)},
         ))
         planned_remove.add(field)
 

@@ -7,13 +7,13 @@ from odqa.generator import generate_fixture
 from odqa.ingest import BATCH_ROWS, Batch, RawTable, RowSemantics
 
 
-def feed(consumer, columns: dict[str, list[str]], *, emit=None, **semantics):
+def feed(consumer, columns: dict[str, list[str]], *, emit=None, batch_rows=BATCH_ROWS, **semantics):
     """Stream an in-memory table through a consumer, as stream_rows does.
 
     columns maps each header to its cell values, all of one length.
     semantics takes stream_rows' keyword arguments (classifier, parser,
     key_field, agency_field) and emit receives what their resolution
-    reports. Calls start, then consume_batch once per BATCH_ROWS rows
+    reports. Calls start, then consume_batch once per batch_rows rows
     (1-based ordinals), then finish, and returns what finish returns.
     """
     headers = list(columns)
@@ -23,8 +23,8 @@ def feed(consumer, columns: dict[str, list[str]], *, emit=None, **semantics):
     shared = RowSemantics(table, emit or (lambda f: None), **semantics)
     consumer.start(table)
     rows = [list(row) for row in zip(*columns.values(), strict=True)]
-    for lo in range(0, len(rows), BATCH_ROWS):
-        chunk = rows[lo:lo + BATCH_ROWS]
+    for lo in range(0, len(rows), batch_rows):
+        chunk = rows[lo:lo + batch_rows]
         consumer.consume_batch(Batch(list(range(lo + 1, lo + 1 + len(chunk))), chunk, shared))
     return consumer.finish()
 

@@ -1,13 +1,20 @@
 """Profiling tests: Counter oracles, sketch guarantees, tier boundaries."""
 
+import heapq
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odqa.ingest import DEFAULT_CLASSIFIER, open_table, stream_rows
+import odqa
+from odqa.ingest import BATCH_ROWS, DEFAULT_CLASSIFIER, open_table, stream_rows
 from odqa.profiling import (
     ColumnProfile,
     ConcentrationResult,
@@ -19,9 +26,10 @@ from odqa.profiling import (
     concentration,
     missing_tier,
     tier_table,
+    top_k,
 )
 
-from conftest import feed
+from conftest import AUDIT_CONFIG_TEMPLATE, feed
 
 
 def collect(headers, rows, agency_field=None, **kw):
@@ -117,14 +125,14 @@ def test_collector_oracle_property(rows):
 # ------------------------------------------------------------------ overflow
 
 def test_overflow_switches_to_sketch():
-    rows = [["a"], ["a"], ["a"], ["b"], ["b"], ["c"], ["d"], ["e"]]
     got = []
-    profiles = collect(["v"], rows, distinct_cap=3, sketch_capacity=10, emit=got.append)
-    p = profiles[0]
+    # 4-row batches: the second passes the cap and installs the first's exact counts
+    (p,) = feed(ProfileCollector(distinct_cap=3, sketch_capacity=10, emit=got.append),
+                {"v": list("aaabbcde")}, batch_rows=4)
     assert p.approximate
     assert p.distinct == 3                 # the cap, as a lower bound
     assert p.exact_counts is None
-    # sketch was seeded from the exact table, so small streams stay exact
+    # the sketch starts from the exact counts, so small streams stay exact
     assert p.top_values == [("a", 3), ("b", 2), ("c", 1), ("d", 1), ("e", 1)]
     assert [f.rule_id for f in got] == ["approximate_profile"]
     assert got[0].measured.value == 3
@@ -151,66 +159,114 @@ def test_distinct_cap_validation():
 
 def test_sketch_exact_while_under_capacity():
     sk = SpaceSavingSketch(4)
-    for v in "aabbbc":
-        sk.update(v)
+    sk.merge(Counter("aab"))
+    sk.merge(Counter("bbc"))
     assert sk.top(10) == [("b", 3), ("a", 2), ("c", 1)]
-    assert sk.error_of("b") == 0
 
 
-def test_sketch_eviction_is_fifo_on_ties():
+def test_sketch_prune_subtracts_the_threshold_and_ties_sort_by_value():
     sk = SpaceSavingSketch(2)
-    sk.update("a")
-    sk.update("b")
-    sk.update("c")                     # a and b tie at 1; a is older, evicted
-    assert sk.top(2) == [("c", 2), ("b", 1)]
-    assert sk.error_of("c") == 1
-    sk.update("a")                     # b is now the only minimum
-    assert sk.top(2) == [("a", 2), ("c", 2)]
-    assert sk.error_of("a") == 1
+    sk.merge({"z": 3, "y": 3, "x": 2})           # 3 counters: no prune below 2 x 2
+    assert len(sk) == 3
+    sk.merge({"w": 1, "v": 1})                   # 5 counters: t is the 3rd largest, 2
+    assert len(sk) == 2
+    assert sk.top(5) == [("y", 3), ("z", 3)]     # counter 1 + floor 2, ties by value
+    sk.merge({"x": 2})
+    assert len(sk) == 3
+    assert sk.top(5) == [("x", 4)]               # top prunes past 2 counters: t is 1, y and z go
 
 
-@settings(max_examples=100)
+def split(stream, cuts):
+    """stream cut at the given positions into Counters, one per batch."""
+    bounds = [0, *sorted(c % (len(stream) + 1) for c in cuts), len(stream)]
+    return [Counter(stream[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+@settings(max_examples=200)
 @given(
-    stream=st.lists(st.sampled_from("abcdefg"), max_size=60),
-    capacity=st.integers(min_value=1, max_value=8),
+    stream=st.lists(st.sampled_from("abcdefghij"), max_size=80),
+    cuts=st.lists(st.integers(min_value=0), max_size=12),
+    capacity=st.integers(min_value=1, max_value=6),
 )
-def test_sketch_guarantees(stream, capacity):
+def test_sketch_guarantees(stream, cuts, capacity):
     sk = SpaceSavingSketch(capacity)
-    for v in stream:
-        sk.update(v)
+    for batch in split(stream, cuts):
+        sk.merge(batch)
+        assert len(sk) <= 2 * capacity
     truth = Counter(stream)
-    items = dict(sk.top(capacity))
+    slack = len(stream) / (capacity + 1)
+    items = dict(sk.top(2 * capacity))
     assert len(items) <= capacity
-    # total mass is conserved
-    assert sum(items.values()) == len(stream)
-    for v, est in items.items():
-        # estimates never undercount, and est - error is a lower bound
-        assert est >= truth[v]
-        assert est - sk.error_of(v) <= truth[v]
-    # classic heavy-hitter guarantee: anything above N/m is retained
+    for v, reported in items.items():
+        assert truth[v] <= reported <= truth[v] + slack
     for v, n in truth.items():
-        if n > len(stream) / capacity:
+        if n > slack:
             assert v in items, (v, n)
 
 
-@given(st.lists(st.sampled_from("abcd"), max_size=40))
-def test_sketch_determinism(stream):
-    a = SpaceSavingSketch(3)
-    b = SpaceSavingSketch(3)
-    for v in stream:
-        a.update(v)
-    for v in stream:
-        b.update(v)
-    assert a.top(3) == b.top(3)
-    assert all(a.error_of(v) == b.error_of(v) for v, _ in a.top(3))
+@given(
+    stream=st.lists(st.sampled_from("abcdef"), max_size=60),
+    cuts=st.lists(st.integers(min_value=0), max_size=8),
+)
+def test_sketch_determinism(stream, cuts):
+    """The same batches give the same sketch whatever order each batch's
+    values were counted in."""
+    a = SpaceSavingSketch(2)
+    b = SpaceSavingSketch(2)
+    for batch in split(stream, cuts):
+        a.merge(batch)
+        b.merge(dict(reversed(batch.items())))
+    assert a.top(4) == b.top(4)
 
 
-def test_sketch_seed_installs_heaviest():
-    sk = SpaceSavingSketch(2)
-    sk.seed({"a": 5, "b": 3, "c": 1})
-    assert sk.top(5) == [("a", 5), ("b", 3)]
-    sk.update("b")
-    assert sk.top(5) == [("a", 5), ("b", 4)]
+def test_sketch_depends_on_batch_boundaries():
+    # one sketch counter: with 4-row batches the prune of aabb|cddd leaves
+    # d at 1 over a floor of 2; with 2-row batches cd is pruned away with
+    # a and b, and dd arrives after it on a floor of 2
+    values = list("aabbcddd")
+    got = {
+        rows: feed(ProfileCollector(distinct_cap=1, sketch_capacity=1), {"v": values},
+                   batch_rows=rows)[0].top_values
+        for rows in (2, 4, BATCH_ROWS)
+    }
+    assert got == {2: [("d", 4)], 4: [("d", 3)], BATCH_ROWS: [("d", 3)]}
+
+
+@settings(max_examples=300)
+@given(
+    counts=st.dictionaries(st.text(alphabet="abcd", max_size=3), st.integers(min_value=1, max_value=6),
+                           max_size=40),
+    k=st.integers(min_value=0, max_value=25),
+)
+def test_top_k_matches_nsmallest_with_a_key(counts, k):
+    want = heapq.nsmallest(k, counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert top_k(counts, k) == want
+
+
+def test_audit_report_does_not_depend_on_the_hash_seed(fixture_10k, tmp_path):
+    config = tmp_path / "capped.yaml"
+    config.write_text(AUDIT_CONFIG_TEMPLATE.format(
+        input=fixture_10k.csv_path,
+        dictionary=fixture_10k.dictionary_path,
+        zips=fixture_10k.zip_reference_path,
+        out_dir=tmp_path / "unused",
+    ) + "profile: {distinct_cap: 1000, sketch_capacity: 50}\n", encoding="utf-8")
+    src = str(Path(odqa.__file__).parents[1])
+    reports = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / f"seed{seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "odqa", "audit", "--config", str(config), "--out", str(out),
+             "--format", "json"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode in (0, 1), proc.stderr[-2000:]
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    profiles = {p["field"]: p for p in json.loads(reports[0])["sections"]["profiles"]}
+    assert profiles["unique_key"]["approximate"]
 
 
 # -------------------------------------------------------------------- tiers
@@ -337,40 +393,31 @@ def test_collector_through_stream(write_csv):
 
 # ------------------------------------------------------------------ batching
 
-def reference_profile(values, agencies, cap, capacity, top_k):
-    """One column counted cell by cell: Counter up to the row that would
-    pass the cap, then a sketch seeded there and updated in row order."""
+def reference_profile(values, agencies, cap, k):
+    """One column counted cell by cell with a Counter. Past the cap the
+    column is approximate, and the true counts are returned for checking
+    the sketch's bounds."""
     kinds = [DEFAULT_CLASSIFIER.kind_of(v) for v in values]
     present = [v for v, kind in zip(values, kinds) if kind is None]
-    seen: set[str] = set()
-    crossing = len(present)
-    for j, v in enumerate(present):
-        if v not in seen and len(seen) == cap:
-            crossing = j
-            break
-        seen.add(v)
-    counts = Counter(present[:crossing])
-    sketch = None
-    if crossing < len(present):
-        sketch = SpaceSavingSketch(capacity)
-        sketch.seed(dict(counts))
-        for v in present[crossing:]:
-            sketch.update(v)
+    counts = Counter(present)
+    approximate = len(counts) > cap
     per_agency = Counter(
         a for a, kind in zip(agencies, kinds)
         if kind is None and DEFAULT_CLASSIFIER.kind_of(a) is None
     )
-    return {
+    want = {
         "total": len(values),
         "present": len(present),
         "missing": dict(Counter(kind for kind in kinds if kind is not None)),
-        "distinct": cap if sketch else len(counts),
-        "approximate": sketch is not None,
-        "top_values": sketch.top(top_k) if sketch else sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k],
+        "distinct": cap if approximate else len(counts),
+        "approximate": approximate,
         "per_agency_present": dict(per_agency),
         "raw_chars": sum(map(len, values)),
-        "exact_counts": None if sketch else dict(counts),
-    }, sketch
+        "exact_counts": None if approximate else dict(counts),
+    }
+    if not approximate:
+        want["top_values"] = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    return want, counts
 
 
 def batch_columns(n_rows, seed=7):
@@ -396,14 +443,18 @@ def test_batched_profiles_match_cell_by_cell_reference(n_rows, cap):
     collector = ProfileCollector(distinct_cap=cap, sketch_capacity=20, top_k=7)
     profiles = feed(collector, columns, agency_field="agency")
     for i, (name, values) in enumerate(columns.items()):
-        want, sketch = reference_profile(values, columns["agency"], cap, 20, 7)
+        want, truth = reference_profile(values, columns["agency"], cap, 7)
         p = profiles[i]
         got = {key: getattr(p, key) for key in want}
         assert got == want, name
-        if sketch is not None:
+        if p.approximate:
             kept = collector._sketches[i]
-            assert kept.top(20) == sketch.top(20)
-            assert [kept.error_of(v) for v, _ in sketch.top(20)] == [sketch.error_of(v) for v, _ in sketch.top(20)]
+            reported = dict(kept.top(20))
+            assert p.top_values == kept.top(7)
+            slack = p.present / 21
+            for v, n in reported.items():
+                assert truth[v] <= n <= truth[v] + slack, (name, v)
+            assert {v for v, n in truth.items() if n > slack} <= reported.keys(), name
     if n_rows >= 257 and cap <= 400:
         assert profiles[2].approximate
 

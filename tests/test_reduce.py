@@ -202,6 +202,24 @@ def test_sparse_threshold_boundary():
     assert plan.actions == []
 
 
+def test_auto_plan_skips_a_column_of_missing_tokens(tmp_path):
+    # NA reads as blank, but the sidecar keeps every non-empty cell with its
+    # row ordinal, so here it would outweigh the column it replaces
+    src = tmp_path / "na.csv"
+    src.write_text("k,s\n" + "".join(f"K{i},NA\n" for i in range(1, 1001)), encoding="utf-8")
+    table = open_table(src)
+    pc = ProfileCollector()
+    stream = stream_rows(table, [pc])
+    sizes = {"baseline_bytes": table.byte_size, "row_count": stream.delivered}
+    assert build_plan(pc.profiles, [], **sizes).actions == []
+
+    forced = build_plan(pc.profiles, [], PlanPolicy(segregate_fields=["s"]), **sizes)
+    (action,) = forced.actions
+    applied = apply_plan(table, forced, tmp_path / "out")
+    sidecar = applied.sidecar_paths["s"].stat().st_size
+    assert action.estimated_bytes_saved <= sidecar <= action.details["estimated_sidecar_bytes"]
+
+
 def test_explicit_segregate_list_overrides_auto():
     rows = [["k", "x", ""] for _ in range(10)]
     profiles = profile_rows(["k", "dense", "empty"], rows)
