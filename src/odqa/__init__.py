@@ -36,7 +36,6 @@ from .timestamps import (
     TimestampParser,
     ZoneRules,
     ZoneStatus,
-    parse_timestamp,
     us_eastern_rules,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "normalize_street",
     "open_table",
     "pair_duration",
-    "parse_timestamp",
     "reconstruct_table",
     "run_audit",
     "run_dict_check",

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .errors import ConfigError
 from .findings import Measurement, make_finding
-from .ingest import Batch, RawTable, RowConsumer
+from .ingest import Batch, RowConsumer
 
 log = logging.getLogger(__name__)
 
@@ -82,20 +82,13 @@ class ReferenceChecker(RowConsumer):
         emit=None,
     ):
         self.references = dict(references)
+        self.columns = tuple(self.references)
         self._emit = emit if emit is not None else (lambda f: None)
         self.results = {f: MembershipResult(f) for f in self.references}
 
-    def start(self, table: RawTable) -> None:
-        self._cols = []
-        for f, reference in self.references.items():
-            idx = table.column_index(f)
-            if idx is None:
-                raise ValueError(f"reference check: field {f!r} not in header")
-            self._cols.append((idx, reference, self.results[f]))
-
     def consume_batch(self, batch: Batch) -> None:
         flagged = []
-        for idx, reference, res in self._cols:
+        for idx, reference, res in zip(self.indexes, self.references.values(), self.results.values()):
             counts = batch.counts(idx)
             absent = batch.missing(idx)
             res.checked += len(batch.ordinals) - sum(map(counts.__getitem__, absent))
@@ -168,22 +161,17 @@ class GeoBoundsChecker(RowConsumer):
     ):
         self.lat_field = lat_field
         self.lon_field = lon_field
+        self.columns = (lat_field, lon_field)
         self.bounds = bounds
         self._emit = emit if emit is not None else (lambda f: None)
         self.result = GeoResult()
 
-    def start(self, table: RawTable) -> None:
-        ilat = table.column_index(self.lat_field)
-        ilon = table.column_index(self.lon_field)
-        if ilat is None or ilon is None:
-            raise ValueError(f"geo check: {self.lat_field!r}/{self.lon_field!r} not in header")
-        self._ilat, self._ilon = ilat, ilon
-
     def consume_batch(self, batch: Batch) -> None:
-        missing_lat = batch.missing(self._ilat)
-        missing_lon = batch.missing(self._ilon)
+        ilat, ilon = self.indexes
+        missing_lat = batch.missing(ilat)
+        missing_lon = batch.missing(ilon)
         res = self.result
-        for n, (raw_lat, raw_lon) in enumerate(zip(batch.columns[self._ilat], batch.columns[self._ilon])):
+        for n, (raw_lat, raw_lon) in enumerate(zip(batch.columns[ilat], batch.columns[ilon])):
             if raw_lat in missing_lat or raw_lon in missing_lon:
                 continue
             try:
@@ -240,23 +228,17 @@ class UniqueChecker(RowConsumer):
         emit=None,
     ):
         self.specs = list(specs)
+        self.columns = tuple(f for f, _ in self.specs)
         self._emit = emit if emit is not None else (lambda f: None)
         self.results = [UniqueResult(f) for f, _ in self.specs]
-
-    def start(self, table: RawTable) -> None:
-        self._state = []
-        for (f, required), res in zip(self.specs, self.results):
-            idx = table.column_index(f)
-            if idx is None:
-                raise ValueError(f"uniqueness check: field {f!r} not in header")
-            # column, required, result, first ordinal of each value, ordinals of each duplicate
-            self._state.append((idx, required, res, {}, {}))
+        # per spec: required, result, first ordinal of each value, ordinals of each duplicate
+        self._state = [(required, res, {}, {}) for (_f, required), res in zip(self.specs, self.results)]
 
     def consume_batch(self, batch: Batch) -> None:
         ordinals = batch.ordinals
         slow = []
-        for state in self._state:
-            idx, _required, res, first_seen, _dups = state
+        for idx, state in zip(self.indexes, self._state):
+            _required, res, first_seen, _dups = state
             column = batch.columns[idx]
             counts = batch.counts(idx)
             if (len(counts) == len(column) and not batch.missing(idx)
@@ -266,7 +248,7 @@ class UniqueChecker(RowConsumer):
             else:
                 slow.append((column, batch.missing(idx), state))
         for n, ordinal in enumerate(ordinals):
-            for column, absent, (_idx, required, res, first_seen, dups) in slow:
+            for column, absent, (required, res, first_seen, dups) in slow:
                 v = column[n]
                 if v in absent:
                     res.missing += 1
@@ -292,7 +274,7 @@ class UniqueChecker(RowConsumer):
                     bucket.append(-1)  # sentinel: more beyond the cap
 
     def finish(self) -> list[UniqueResult]:
-        for _idx, _required, res, _first_seen, dups in self._state:
+        for _required, res, _first_seen, dups in self._state:
             res.duplicate_values = len(dups)
             for value, ordinals in dups.items():
                 overflow = ordinals.count(-1)
@@ -355,22 +337,15 @@ class PrecisionAuditor(RowConsumer):
         emit=None,
     ):
         self.fields = list(fields)
+        self.columns = tuple(self.fields)
         if twice := [f for i, f in enumerate(self.fields) if f in self.fields[:i]]:
             raise ValueError(f"precision audit: field {twice[0]!r} listed twice")
         self.max_decimals = max_decimals
         self._emit = emit if emit is not None else (lambda f: None)
         self.results: dict[str, PrecisionAudit] = {f: PrecisionAudit(f) for f in self.fields}
 
-    def start(self, table: RawTable) -> None:
-        self._cols = []
-        for f in self.fields:
-            idx = table.column_index(f)
-            if idx is None:
-                raise ValueError(f"precision audit: field {f!r} not in header")
-            self._cols.append((idx, self.results[f]))
-
     def consume_batch(self, batch: Batch) -> None:
-        for idx, audit in self._cols:
+        for idx, audit in zip(self.indexes, self.results.values()):
             absent = batch.missing(idx)
             for v, n in batch.counts(idx).items():
                 if v in absent:

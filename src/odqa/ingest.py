@@ -138,11 +138,23 @@ class RawTable:
     def width(self) -> int:
         return len(self.headers)
 
-    def column_index(self, name: str) -> int | None:
-        try:
-            return self.headers.index(name)
-        except ValueError:
-            return None
+    def resolve(self, names: Iterable[str]) -> list[int]:
+        """The column index of each name, in order: odqa's one lookup of
+        names in the header. Raises AbsentColumns naming every name the
+        header lacks."""
+        names = list(names)
+        absent = [n for n in names if n not in self.headers]
+        if absent:
+            raise AbsentColumns(absent)
+        return [self.headers.index(n) for n in names]
+
+
+class AbsentColumns(ValueError):
+    """Columns that a check or the config names and the header lacks."""
+
+    def __init__(self, names: Iterable[str]):
+        self.names = list(dict.fromkeys(names))
+        super().__init__("column(s) not in the header: " + ", ".join(map(repr, self.names)))
 
 
 class RowSemantics:
@@ -165,10 +177,16 @@ class RowSemantics:
         """Resolve the mapped columns against table's header. An agency
         column the header lacks is reported through emit and treated as
         unmapped; a missing key column falls back to row ordinals."""
+        def index(name):
+            try:
+                return table.resolve([name])[0] if name else None
+            except AbsentColumns:
+                return None
+
         self.classifier = classifier
         self.parser = parser if parser is not None else TimestampParser()
-        self.key_index = table.column_index(key_field) if key_field else None
-        self.agency_index = table.column_index(agency_field) if agency_field else None
+        self.key_index = index(key_field)
+        self.agency_index = index(agency_field)
         if agency_field and self.agency_index is None:
             emit(make_finding(
                 "agency_field_missing",
@@ -258,11 +276,15 @@ class RowConsumer:
 
     start() runs once before the first batch, consume_batch() once per
     Batch of delivered rows, in stream order, finish() once after the
-    last.
+    last. A consumer names the columns it reads in `columns`; start
+    resolves them into `indexes`, in the same order, and raises
+    AbsentColumns naming every one the header lacks.
     """
 
-    def start(self, table: RawTable) -> None:  # noqa: B027 - optional hook
-        pass
+    columns: tuple[str, ...] = ()
+
+    def start(self, table: RawTable) -> None:
+        self.indexes = table.resolve(self.columns)
 
     def consume_batch(self, batch: Batch) -> None:
         raise NotImplementedError

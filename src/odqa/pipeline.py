@@ -4,12 +4,16 @@ Each run_* function is one CLI subcommand. The four streaming commands
 (audit, profile, dict-check, reduce-plan) are each a tuple of stages
 handed to `_run`, the single driver. `_run` opens the table, wires the
 column profiler, then runs every stage up to its `yield`: that part of a
-stage attaches its consumers and names the columns it needs. It streams
-the file exactly once through all of them, handing stream_rows the
-config's missing-value classifier, timestamp parser and key and agency
-columns, resumes the stages in the same order to turn consumer results
-into report sections, then assembles the AuditReport, sets the exit
-status and writes the requested renderings into out_dir. Stage order is
+stage attaches its consumers and names the columns it needs, each with
+the config key that asks for it. Before the first record is read, `_run`
+resolves them all against the header with `RawTable.resolve`, the lookup
+every consumer's `start` uses too, and raises one ConfigError naming
+each absent column and its key. It then streams the file exactly once
+through all the consumers, handing stream_rows the config's
+missing-value classifier, timestamp parser and key and agency columns,
+resumes the stages in the same order to turn consumer results into
+report sections, then assembles the AuditReport, sets the exit status
+and writes the requested renderings into out_dir. Stage order is
 consumer order, and so the order in which findings reach the sink.
 
 reduce-apply streams the file through a plan instead of consumers, so it
@@ -47,7 +51,7 @@ from .domain_rules import (
 )
 from .errors import ConfigError, PlanError
 from .findings import Finding, FindingSink, apply_severity_overrides, make_finding
-from .ingest import RawTable, RowConsumer, StreamResult, open_table, stream_rows
+from .ingest import AbsentColumns, RawTable, RowConsumer, StreamResult, open_table, stream_rows
 from .profiling import ProfileCollector, concentration, tier_table
 from .redundancy import ConcatChecker, FDChecker, PairCollector
 from .reduce import ApplyResult, ReductionPlan, apply_plan, build_plan
@@ -179,10 +183,11 @@ def _run(cfg: AuditConfig, command: str, stages, write: bool) -> RunResult:
         next(stage, None)
     if fm.key:
         run.wanted[fm.key] = "fields.key"
-    missing = {name: why for name, why in run.wanted.items() if table.column_index(name) is None}
-    if missing:
-        parts = ", ".join(f"{name!r} (from {why})" for name, why in sorted(missing.items()))
-        raise ConfigError(f"configured column(s) not in the header: {parts}")
+    try:
+        table.resolve(run.wanted)
+    except AbsentColumns as exc:
+        parts = ", ".join(f"{name!r} (from {run.wanted[name]})" for name in sorted(exc.names))
+        raise ConfigError(f"configured column(s) not in the header: {parts}") from None
 
     stream = run.stream = stream_rows(
         table, run.consumers, emit=emit,
@@ -233,17 +238,16 @@ def _profiles(run: _Run):
 
 def _concentration(run: _Run):
     """Top-k share of the configured fields' values."""
-    yield
     cfg = run.cfg
     if not cfg.concentration:
         return
+    run.need("concentration", *cfg.concentration)
+    yield
     out = []
     by_field = {p.field: p for p in run.profiler.profiles}
     for field_name in sorted(cfg.concentration):
         k = cfg.concentration[field_name]
-        prof = by_field.get(field_name)
-        if prof is None:
-            raise ConfigError(f"concentration: field {field_name!r} not in the header")
+        prof = by_field[field_name]
         if prof.exact_counts is None:
             out.append({
                 "field": field_name, "k": k, "top_k_share": None,
@@ -470,12 +474,18 @@ def _redundancy(run: _Run):
 
 def _plan(run: _Run):
     """Fold the profiles and the redundancy evidence into a reduction plan."""
+    policy = run.cfg.plan
+    run.need("plan.encode", *policy.encode_fields)
+    run.need("plan.drop", *policy.drop_fields)
+    run.need("plan.segregate", *(policy.segregate_fields or ()))
+    run.need("plan.protected", *policy.protected_fields)
+    run.need("plan.allow_lossy", *policy.allow_lossy)
     yield
     table = run.table
     run.plan = build_plan(
         run.profiler.profiles,
         run.pair_stats,
-        run.cfg.plan,
+        policy,
         baseline_bytes=table.byte_size,
         row_count=run.stream.delivered,
         key_field=run.cfg.field_map.key,

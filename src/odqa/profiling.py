@@ -171,8 +171,8 @@ class ProfileCollector(RowConsumer):
         top_k: int = DEFAULT_TOP_K,
         emit=None,
     ):
-        if distinct_cap < 1:
-            raise ValueError("distinct_cap must be positive")
+        if distinct_cap < 1 or sketch_capacity < 1:
+            raise ValueError("distinct_cap and sketch_capacity must be positive")
         self._cap = distinct_cap
         self._sketch_capacity = sketch_capacity
         self._top_k = top_k

@@ -295,6 +295,7 @@ def build_plan(
     planned_remove: set[str] = set()
 
     def add_drop(field: str, reason: str, lossless: bool, details: dict) -> None:
+        prof = profile_of(field, "drop")
         if field in protected:
             raise PlanError(f"refusing to drop protected field {field!r}")
         if field in planned_remove:
@@ -303,7 +304,6 @@ def build_plan(
             raise PlanError(
                 f"drop of {field!r} is lossy; add it to allow_lossy to acknowledge"
             )
-        prof = profile_of(field, "drop")
         actions.append(PlanAction(
             kind="drop",
             field=field,

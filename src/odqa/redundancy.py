@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 from .errors import ConfigError
 from .findings import Measurement, make_finding
-from .ingest import Batch, RawTable, RowConsumer
+from .ingest import Batch, RowConsumer
 
 log = logging.getLogger(__name__)
 
@@ -100,22 +100,16 @@ class PairCollector(RowConsumer):
         *,
         emit=None,
     ):
-        self._specs = pairs
+        self._specs = list(pairs)
+        self.columns = tuple(name for a, b, _norm in self._specs for name in (a, b))
         self._emit = emit
+        # per pair, its counters: rows, both_blank, one_blank, both_present, exact, normalized
+        self._counts = [[0, 0, 0, 0, 0, 0] for _ in self._specs]
         self.stats: list[PairMatchStats] = []
 
-    def start(self, table: RawTable) -> None:
-        self._cols = []
-        for a, b, norm in self._specs:
-            ia = table.column_index(a)
-            ib = table.column_index(b)
-            if ia is None or ib is None:
-                raise ValueError(f"pair check: {a!r}/{b!r} not in header")
-            # counters: rows, both_blank, one_blank, both_present, exact, normalized
-            self._cols.append([a, b, ia, ib, norm, [0, 0, 0, 0, 0, 0]])
-
     def consume_batch(self, batch: Batch) -> None:
-        for _a, _b, ia, ib, norm, c in self._cols:
+        at = iter(self.indexes)
+        for ia, ib, (_a, _b, norm), c in zip(at, at, self._specs, self._counts):
             missing_a = batch.missing(ia)
             missing_b = batch.missing(ib)
             c[0] += len(batch.ordinals)
@@ -134,7 +128,7 @@ class PairCollector(RowConsumer):
 
     def finish(self) -> list[PairMatchStats]:
         out = []
-        for a, b, _ia, _ib, _norm, c in self._cols:
+        for (a, b, _norm), c in zip(self._specs, self._counts):
             stats = PairMatchStats(a, b, c[0], c[1], c[2], c[3], c[4], c[5])
             out.append(stats)
             if self._emit is not None:
@@ -199,28 +193,19 @@ class ConcatChecker(RowConsumer):
     ):
         _validate_template(template)
         self.stats = ConcatStats(target, source_a, source_b, template)
+        self.columns = (target, source_a, source_b)
         self._prefix, rest = template.split("{a}", 1)
         self._middle, self._suffix = rest.split("{b}", 1)
 
-    def start(self, table: RawTable) -> None:
-        it = table.column_index(self.stats.target)
-        ia = table.column_index(self.stats.source_a)
-        ib = table.column_index(self.stats.source_b)
-        if it is None or ia is None or ib is None:
-            raise ValueError(
-                f"concatenation check: {self.stats.target!r}, {self.stats.source_a!r}, "
-                f"{self.stats.source_b!r} must all be in the header"
-            )
-        self._it, self._ia, self._ib = it, ia, ib
-
     def consume_batch(self, batch: Batch) -> None:
-        missing_t = batch.missing(self._it)
-        missing_a = batch.missing(self._ia)
-        missing_b = batch.missing(self._ib)
+        it, ia, ib = self.indexes
+        missing_t = batch.missing(it)
+        missing_a = batch.missing(ia)
+        missing_b = batch.missing(ib)
         prefix, middle, suffix = self._prefix, self._middle, self._suffix
         s = self.stats
         cols = batch.columns
-        for vt, va, vb in zip(cols[self._it], cols[self._ia], cols[self._ib]):
+        for vt, va, vb in zip(cols[it], cols[ia], cols[ib]):
             if vt in missing_t or va in missing_a or vb in missing_b:
                 continue
             s.rows_considered += 1
@@ -324,23 +309,16 @@ class FDChecker(RowConsumer):
 
     def __init__(self, determinant: str, dependent: str):
         self.result = FDResult(determinant, dependent)
+        self.columns = (determinant, dependent)
         self._mapping: dict[str, str] = {}
 
-    def start(self, table: RawTable) -> None:
-        ia = table.column_index(self.result.determinant)
-        ib = table.column_index(self.result.dependent)
-        if ia is None or ib is None:
-            raise ValueError(
-                f"dependency check: {self.result.determinant!r}/{self.result.dependent!r} not in header"
-            )
-        self._ia, self._ib = ia, ib
-
     def consume_batch(self, batch: Batch) -> None:
-        missing_a = batch.missing(self._ia)
-        missing_b = batch.missing(self._ib)
+        ia, ib = self.indexes
+        missing_a = batch.missing(ia)
+        missing_b = batch.missing(ib)
         res = self.result
         mapping = self._mapping
-        for va, vb in zip(batch.columns[self._ia], batch.columns[self._ib]):
+        for va, vb in zip(batch.columns[ia], batch.columns[ib]):
             if va in missing_a or vb in missing_b:
                 continue
             res.rows_checked += 1

@@ -304,14 +304,11 @@ def render_markdown_file(report: AuditReport, path: str | Path) -> None:
     Path(path).write_text(render_markdown(report), encoding="utf-8")
 
 
-def render_profiles_csv(profiles: list[ColumnProfile] | list[dict], path: str | Path) -> None:
+def render_profiles_csv(profiles: list[ColumnProfile], path: str | Path) -> None:
     """Fixed header: field,total,present,blank_pct,tier,distinct."""
     lines = ["field,total,present,blank_pct,tier,distinct"]
     for p in profiles:
-        if isinstance(p, ColumnProfile):
-            row = (p.field, p.total, p.present, f"{p.blank_pct:.2f}", p.tier, p.distinct)
-        else:
-            row = (p["field"], p["total"], p["present"], f"{p['blank_pct']:.2f}", p["tier"], p["distinct"])
+        row = (p.field, p.total, p.present, f"{p.blank_pct:.2f}", p.tier, p.distinct)
         lines.append(",".join(str(c) for c in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

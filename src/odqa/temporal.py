@@ -196,21 +196,14 @@ class DurationAuditor(RowConsumer):
         self.created_field = created_field
         self.closed_field = closed_field
         self.updated_field = updated_field
+        self.columns = (created_field, closed_field) + ((updated_field,) if updated_field else ())
         self.rules = rules
         self._emit = emit if emit is not None else (lambda f: None)
         self.summary = TemporalSummary()
 
     def start(self, table: RawTable) -> None:
-        def need(name):
-            return table.column_index(name) if name else None
-
-        self._ic = need(self.created_field)
-        self._iz = need(self.closed_field)
-        if self._ic is None or self._iz is None:
-            raise ValueError(
-                f"temporal audit needs {self.created_field!r} and {self.closed_field!r} in the header"
-            )
-        self._iu = need(self.updated_field)
+        super().start(table)
+        self._ic, self._iz, self._iu = (*self.indexes, None)[:3]   # updated: None when unmapped
         self._hist = ([0] * 24, [0] * 24)      # created, closed
         self._parsed = [0, 0]
         s = self.summary

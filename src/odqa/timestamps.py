@@ -79,14 +79,6 @@ class LocalTimestamp:
     def hour(self) -> int:
         return self.seconds_of_day // 3600
 
-    @property
-    def is_midnight_exact(self) -> bool:
-        return self.seconds_of_day == 0
-
-    @property
-    def on_the_hour(self) -> bool:
-        return self.seconds_of_day % 3600 == 0
-
     def naive_epoch(self) -> int:
         """Seconds since epoch if the wall reading were UTC."""
         return (self.date.toordinal() - _EPOCH_ORD) * 86400 + self.seconds_of_day
@@ -288,12 +280,3 @@ class TimestampParser:
             return None
         midnight = _epoch(d, 0)
         return d, midnight, self.rules.fixed_offset(midnight, 86400)
-
-
-def parse_timestamp(
-    raw: str,
-    formats: Sequence[str] = DEFAULT_TIMESTAMP_FORMATS,
-    rules: ZoneRules | None = None,
-) -> LocalTimestamp | None:
-    """One-shot convenience wrapper around TimestampParser."""
-    return TimestampParser(formats, rules)(raw)

@@ -238,13 +238,50 @@ def test_absent_agency_column_is_a_finding_not_an_error(tmp_path, capsys):
     assert report["samples"]["agency_field_missing"][0]["fields"] == ["agency"]
 
 
-def test_configured_column_absent_is_exit_2(tmp_path, capsys):
-    (tmp_path / "data.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+# (knob, command, config naming the absent column `nope`) for every knob that names a column
+ABSENT_COLUMN_CASES = [
+    ("fields.created", "audit", "fields: {created: nope, closed: closed}"),
+    ("fields.closed", "audit", "fields: {created: created, closed: nope}"),
+    ("fields.updated", "audit", "fields: {created: created, closed: closed, updated: nope}"),
+    ("fields.key", "profile", "fields: {key: nope}"),
+    ("fields.latitude", "audit", "fields: {latitude: nope, longitude: lon}"),
+    ("fields.longitude", "audit", "fields: {latitude: lat, longitude: nope}"),
+    ("references", "audit", "references: {nope: zips.txt}"),
+    ("unique", "audit", "unique: [nope]"),
+    ("precision.fields", "audit", "precision: {fields: [lat, nope]}"),
+    ("pairs", "audit", "pairs: [[a, nope]]"),
+    ("concat", "audit", "concat: [{target: nope, a: lat, b: lon}]"),
+    ("fd", "audit", "fd: [[nope, a]]"),
+    ("concentration", "audit", "concentration: {a: 2, nope: 5}"),
+    ("concentration", "profile", "concentration: {nope: 5}"),
+    ("plan.encode", "reduce-plan", "plan: {encode: [a, nope]}"),
+    ("plan.drop", "reduce-plan", "plan: {drop: [nope]}"),
+    ("plan.segregate", "reduce-plan", "plan: {segregate: [nope]}"),
+    ("plan.protected", "reduce-plan", "plan: {protected: [nope]}"),
+    ("plan.allow_lossy", "reduce-plan", "plan: {allow_lossy: [nope]}"),
+]
+
+
+@pytest.mark.parametrize(
+    "knob, command, config", ABSENT_COLUMN_CASES, ids=[f"{k}-{c}" for k, c, _ in ABSENT_COLUMN_CASES],
+)
+def test_configured_column_absent_is_exit_2(tmp_path, capsys, monkeypatch, knob, command, config):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the input was read before the config was checked")
+
+    monkeypatch.setattr("odqa.pipeline.stream_rows", no_stream)
+    (tmp_path / "data.csv").write_text(
+        "k,created,closed,lat,lon,a,b\n"
+        "K1,2023-01-05 10:00:00,2023-01-06 10:00:00,40.7,-73.9,x,x\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "zips.txt").write_text("10001\n", encoding="utf-8")
     cfg = tmp_path / "c.yaml"
-    cfg.write_text("input: data.csv\nfields: {created: made, closed: done}\n", encoding="utf-8")
-    assert main(["audit", "--config", str(cfg)]) == 2
+    cfg.write_text(f"input: data.csv\nout_dir: out\n{config}\n", encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "not in the header" in err and "fields.created" in err
+    assert err == f"odqa: error: configured column(s) not in the header: 'nope' (from {knob})\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_empty_input_is_exit_2(tmp_path, capsys):

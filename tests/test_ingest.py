@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import odqa
 from odqa.config import AuditConfig
+from odqa.domain_rules import GeoBoundsChecker, PrecisionAuditor, ReferenceChecker, UniqueChecker
 from odqa.errors import InputError
 from odqa.findings import FindingSink
 from odqa.ingest import (
@@ -23,6 +24,8 @@ from odqa.ingest import (
     stream_rows,
 )
 from odqa.pipeline import run_profile
+from odqa.redundancy import ConcatChecker, FDChecker, PairCollector
+from odqa.temporal import DurationAuditor
 
 
 class Collect(RowConsumer):
@@ -307,3 +310,42 @@ def test_one_csv_reader_in_the_package():
         readers[path.name] = text.count("csv.reader(")
         assert "_column_batches" not in text and "_starts_with_bom" not in text, path.name
     assert {name: n for name, n in readers.items() if n} == {"ingest.py": 1}
+
+
+def test_resolve_names_every_absent_column(write_csv):
+    table = open_table(write_csv("t.csv", "a,b,c\n1,2,3\n"))
+    assert table.resolve(["c", "a", "c"]) == [2, 0, 2]
+    assert table.resolve([]) == []
+    with pytest.raises(ValueError, match=r"^column\(s\) not in the header: 'x', 'y'$") as exc:
+        table.resolve(["x", "a", "y", "x"])
+    assert exc.value.names == ["x", "y"]
+
+
+ABSENT_CONSUMERS = {
+    "reference": lambda: ReferenceChecker({"x": frozenset("1"), "a": frozenset("1"), "y": frozenset("1")}),
+    "geo": lambda: GeoBoundsChecker("x", "y"),
+    "unique": lambda: UniqueChecker([("x", False), ("a", True), ("y", False)]),
+    "precision": lambda: PrecisionAuditor(["x", "a", "y"]),
+    "pairs": lambda: PairCollector([("a", "x", None), ("y", "b", None)]),
+    "concat": lambda: ConcatChecker("x", "a", "y"),
+    "fd": lambda: FDChecker("x", "y"),
+    "temporal": lambda: DurationAuditor(created_field="x", closed_field="a", updated_field="y"),
+}
+
+
+@pytest.mark.parametrize("make", ABSENT_CONSUMERS.values(), ids=ABSENT_CONSUMERS.keys())
+def test_every_consumer_names_all_its_absent_columns_before_the_first_row(write_csv, make):
+    table = open_table(write_csv("t.csv", "a,b\n1,2\n"))
+    with pytest.raises(ValueError, match=r"^column\(s\) not in the header: 'x', 'y'$"):
+        stream_rows(table, [make()])
+    assert table.row_count is None
+
+
+def test_only_ingest_looks_names_up_in_the_header():
+    # RawTable.resolve is the one lookup of column names in the header, so
+    # every consumer and the config check agree on what is absent
+    lookups = {}
+    for path in sorted(Path(odqa.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lookups[path.name] = text.count("column_index(") + text.count("headers.index(")
+    assert {name: n for name, n in lookups.items() if n} == {"ingest.py": 1}

@@ -155,6 +155,12 @@ def test_distinct_cap_validation():
         SpaceSavingSketch(0)
 
 
+def test_sketch_capacity_is_checked_at_construction():
+    # not first when a column passes the cap mid-stream, or never
+    with pytest.raises(ValueError, match="sketch_capacity must be positive"):
+        ProfileCollector(sketch_capacity=0)
+
+
 # --------------------------------------------------------------- space-saving
 
 def test_sketch_exact_while_under_capacity():

@@ -164,6 +164,12 @@ def test_lossy_drop_requires_acknowledgement():
     assert plan.actions[0].reason == "requested in config"
 
 
+def test_requested_drop_of_an_unknown_field_names_the_field():
+    profiles = profile_rows(["a", "b"], [["x", "y"]])
+    with pytest.raises(PlanError, match="^drop: unknown field 'nope'$"):
+        build_plan(profiles, [], PlanPolicy(drop_fields=["nope"]), baseline_bytes=10, row_count=1)
+
+
 def test_requested_drop_upgrades_to_lossless_when_duplicate():
     profiles = profile_rows(["a", "b"], [["x", "x"]])
     plan = build_plan(

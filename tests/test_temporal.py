@@ -19,7 +19,7 @@ from odqa.temporal import (
     evaluate_hour_histogram,
     pair_duration,
 )
-from odqa.timestamps import parse_timestamp
+from odqa.timestamps import TimestampParser
 
 from conftest import feed
 
@@ -37,15 +37,15 @@ def audit(columns, updated_field=None, **semantics):
 # ------------------------------------------------------------ pair duration
 
 def test_pair_duration_plain_positive():
-    c = parse_timestamp("06/01/2023 10:00:00 AM")
-    z = parse_timestamp("06/02/2023 10:00:00 AM")
+    c = TimestampParser()("06/01/2023 10:00:00 AM")
+    z = TimestampParser()("06/02/2023 10:00:00 AM")
     assert pair_duration(c, z) == (86400, False)
 
 
 def test_pair_duration_the_378_day_reversal():
     # the classic swapped pair: created in 2023, closed in 2022
-    c = parse_timestamp("01/27/2023 10:15:00 AM")
-    z = parse_timestamp("01/14/2022 10:15:00 AM")
+    c = TimestampParser()("01/27/2023 10:15:00 AM")
+    z = TimestampParser()("01/14/2022 10:15:00 AM")
     seconds, explainable = pair_duration(c, z)
     assert seconds == -378 * 86400
     assert seconds / 86400.0 == -378.0
@@ -55,23 +55,23 @@ def test_pair_duration_the_378_day_reversal():
 def test_pair_duration_fold_negative_is_explainable():
     # both readings sit inside the repeated 01:00-02:00 hour; earliest
     # candidates order them backwards but the late/early pairing does not
-    c = parse_timestamp("11/05/2023 01:45:00 AM")
-    z = parse_timestamp("11/05/2023 01:15:00 AM")
+    c = TimestampParser()("11/05/2023 01:45:00 AM")
+    z = TimestampParser()("11/05/2023 01:15:00 AM")
     seconds, explainable = pair_duration(c, z)
     assert seconds == -1800
     assert explainable
 
 
 def test_pair_duration_gap_is_none():
-    c = parse_timestamp("03/12/2023 02:30:00 AM")
-    z = parse_timestamp("03/12/2023 10:00:00 AM")
+    c = TimestampParser()("03/12/2023 02:30:00 AM")
+    z = TimestampParser()("03/12/2023 10:00:00 AM")
     assert pair_duration(c, z) == (None, False)
 
 
 def test_pair_duration_across_spring_forward():
     # 01:30 EST to 03:30 EDT is one wall hour shorter in UTC
-    c = parse_timestamp("03/12/2023 01:30:00 AM")
-    z = parse_timestamp("03/12/2023 03:30:00 AM")
+    c = TimestampParser()("03/12/2023 01:30:00 AM")
+    z = TimestampParser()("03/12/2023 03:30:00 AM")
     seconds, _ = pair_duration(c, z)
     assert seconds == 3600
 

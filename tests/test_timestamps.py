@@ -20,7 +20,6 @@ from odqa.timestamps import (
     TimestampParser,
     ZoneRules,
     ZoneStatus,
-    parse_timestamp,
     us_eastern_rules,
 )
 
@@ -151,7 +150,7 @@ def test_translation_invariance_away_from_transitions(shift):
 # ------------------------------------------------------------------ parsing
 
 def test_parse_portal_format():
-    ts = parse_timestamp("01/27/2023 02:45:13 PM")
+    ts = TimestampParser()("01/27/2023 02:45:13 PM")
     assert ts is not None
     assert ts.date == dt.date(2023, 1, 27)
     assert ts.seconds_of_day == 14 * 3600 + 45 * 60 + 13
@@ -160,19 +159,19 @@ def test_parse_portal_format():
 
 
 def test_parse_iso_format():
-    ts = parse_timestamp("2023-07-04 00:00:00")
-    assert ts is not None and ts.is_midnight_exact and ts.on_the_hour
+    ts = TimestampParser()("2023-07-04 00:00:00")
+    assert ts is not None and ts.seconds_of_day == 0
     assert ts.hour == 0
     assert ts.earliest_utc == naive_epoch(2023, 7, 4, 0) + 4 * 3600
 
 
 def test_parse_noon_and_midnight_twelve():
-    assert parse_timestamp("06/01/2023 12:00:00 PM").seconds_of_day == 12 * 3600
-    assert parse_timestamp("06/01/2023 12:00:00 AM").seconds_of_day == 0
+    assert TimestampParser()("06/01/2023 12:00:00 PM").seconds_of_day == 12 * 3600
+    assert TimestampParser()("06/01/2023 12:00:00 AM").seconds_of_day == 0
 
 
 def test_parse_gap_time_is_structurally_valid():
-    ts = parse_timestamp("03/12/2023 02:30:00 AM")
+    ts = TimestampParser()("03/12/2023 02:30:00 AM")
     assert ts is not None
     assert ts.zone_status is ZoneStatus.DST_GAP_INVALID
     assert ts.utc_candidates == ()
@@ -180,7 +179,7 @@ def test_parse_gap_time_is_structurally_valid():
 
 
 def test_parse_fold_time_keeps_both_readings():
-    ts = parse_timestamp("11/05/2023 01:30:00 AM")
+    ts = TimestampParser()("11/05/2023 01:30:00 AM")
     assert ts.zone_status is ZoneStatus.DST_FOLD_AMBIGUOUS
     assert len(ts.utc_candidates) == 2
     assert ts.latest_utc - ts.earliest_utc == 3600
@@ -188,7 +187,7 @@ def test_parse_fold_time_keeps_both_readings():
 
 def test_parse_placeholder_epoch():
     # placeholder rows in the portal carry 1900 dates; they must parse
-    ts = parse_timestamp("01/01/1900 03:47:12 AM")
+    ts = TimestampParser()("01/01/1900 03:47:12 AM")
     assert ts is not None
     assert ts.date == dt.date(1900, 1, 1)
     assert ts.zone_status is ZoneStatus.UNAMBIGUOUS
@@ -218,7 +217,7 @@ def test_date_only_formats():
     "1/5/2023 03:04:05 AM",          # unpadded is not the portal shape
 ])
 def test_rejected_strings(raw):
-    assert parse_timestamp(raw) is None
+    assert TimestampParser()(raw) is None
 
 
 def test_empty_format_list_rejected():
@@ -240,7 +239,7 @@ def test_fast_path_agrees_with_strftime_roundtrip(wall):
     wall = wall.replace(microsecond=0)
     for fmt in DEFAULT_TIMESTAMP_FORMATS:
         raw = wall.strftime(fmt)
-        ts = parse_timestamp(raw, formats=(fmt,))
+        ts = TimestampParser((fmt,))(raw)
         assert ts is not None, raw
         assert ts.date == wall.date()
         assert ts.seconds_of_day == wall.hour * 3600 + wall.minute * 60 + wall.second
@@ -253,7 +252,7 @@ def test_fast_path_never_accepts_what_strptime_rejects(raw):
     # with the same wall reading (the converse is not required: strptime
     # tolerates unpadded fields)
     for fmt in DEFAULT_TIMESTAMP_FORMATS:
-        ts = parse_timestamp(raw, formats=(fmt,))
+        ts = TimestampParser((fmt,))(raw)
         if ts is None:
             continue
         parsed = dt.datetime.strptime(raw, fmt)
@@ -264,7 +263,7 @@ def test_fast_path_never_accepts_what_strptime_rejects(raw):
 @given(st.datetimes(min_value=dt.datetime(1988, 1, 1), max_value=dt.datetime(2039, 12, 31)))
 def test_resolution_statuses_partition(wall):
     wall = wall.replace(microsecond=0)
-    ts = parse_timestamp(wall.strftime("%Y-%m-%d %H:%M:%S"))
+    ts = TimestampParser()(wall.strftime("%Y-%m-%d %H:%M:%S"))
     if ts.zone_status is ZoneStatus.UNAMBIGUOUS:
         assert len(ts.utc_candidates) == 1
     elif ts.zone_status is ZoneStatus.DST_FOLD_AMBIGUOUS:
@@ -280,14 +279,14 @@ def test_resolution_statuses_partition(wall):
 
 
 def test_isoformat_roundtrip():
-    ts = parse_timestamp("07/04/2023 01:02:03 PM")
+    ts = TimestampParser()("07/04/2023 01:02:03 PM")
     assert ts.isoformat() == "2023-07-04 13:02:03"
-    again = parse_timestamp(ts.isoformat())
+    again = TimestampParser()(ts.isoformat())
     assert again.date == ts.date and again.seconds_of_day == ts.seconds_of_day
 
 
 def test_local_timestamp_is_frozen():
-    ts = parse_timestamp("2023-07-04 12:00:00")
+    ts = TimestampParser()("2023-07-04 12:00:00")
     with pytest.raises(AttributeError):
         ts.seconds_of_day = 5
 
@@ -428,7 +427,7 @@ def test_invalid_clock_falls_through_after_its_other_half_parsed(raw):
     assert parser("2023-01-02 23:00:00") is not None
     assert parser(raw) is None
     later = TimestampParser(DEFAULT_TIMESTAMP_FORMATS + ("%d/%m/%Y %H:%M:%S %p",))
-    assert later(raw) == parse_timestamp(raw, ("%d/%m/%Y %H:%M:%S %p",))
+    assert later(raw) == TimestampParser(("%d/%m/%Y %H:%M:%S %p",))(raw)
 
 
 def test_seconds_and_meridiem_share_the_hour_minute_part():
