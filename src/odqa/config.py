@@ -195,6 +195,14 @@ _TOP_KEYS = {
 }
 
 _FIELD_KEYS = {"created", "closed", "updated", "agency", "key", "latitude", "longitude"}
+# a role that is read only together with its partners, checked in this order
+_FIELD_PARTNERS = {
+    "created": ("closed",),
+    "closed": ("created",),
+    "updated": ("created", "closed"),
+    "latitude": ("longitude",),
+    "longitude": ("latitude",),
+}
 _ZONE_KEYS = {"name", "first_year", "last_year", "offset_seconds", "transitions", "initial_offset"}
 _TEMPORAL_KEYS = {"sentinel_dates", "extreme_cutoff_days", "post_close_window_days", "sigma_multiplier"}
 _PROFILE_KEYS = {"distinct_cap", "sketch_capacity", "top_k"}
@@ -247,6 +255,9 @@ def load_config(path: str | Path) -> AuditConfig:
     for key in _FIELD_KEYS:
         if fields.get(key) is not None:
             setattr(cfg.field_map, key, str(fields[key]))
+    for key, partners in _FIELD_PARTNERS.items():
+        if getattr(cfg.field_map, key) and (absent := [p for p in partners if not getattr(cfg.field_map, p)]):
+            raise ConfigError(f"fields.{key} is given without " + " and ".join(f"fields.{p}" for p in absent))
 
     tokens = _require_mapping(data.get("missing_tokens"), "missing_tokens")
     cfg.extra_missing_tokens = {str(k): str(v) for k, v in tokens.items()}

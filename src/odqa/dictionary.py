@@ -272,14 +272,14 @@ class TypeChecker(RowConsumer):
             absent = batch.missing(idx)
             values = [v for v in counts if v not in absent] if absent else list(counts)
             if pattern is None:
-                parsed = batch.parsed(idx)
-                verdicts = list(map(parsed.__getitem__, values))
+                # a wall epoch of 0 is a valid reading: test for None, not truth
+                verdicts = list(map(batch.parsed(idx).wall.get, values))
             else:
                 verdicts = list(map(pattern.fullmatch, map(str.strip, values)))
             rep.checked[name] += len(batch.ordinals) - sum(map(counts.__getitem__, absent))
-            if all(verdicts):
+            if None not in verdicts:
                 continue
-            bad = {v for v, ok in zip(values, verdicts) if not ok}
+            bad = {v for v, ok in zip(values, verdicts) if ok is None}
             rep.violations[name] += sum(map(counts.__getitem__, bad))
             sample = rep.samples[name]
             if len(sample) == self.SAMPLE_CAP:

@@ -12,7 +12,10 @@ from __future__ import annotations
 import logging
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import filterfalse, repeat
+from operator import sub
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -171,6 +174,7 @@ class GeoBoundsChecker(RowConsumer):
         missing_lat = batch.missing(ilat)
         missing_lon = batch.missing(ilon)
         res = self.result
+        agencies = batch.agencies()
         for n, (raw_lat, raw_lon) in enumerate(zip(batch.columns[ilat], batch.columns[ilon])):
             if raw_lat in missing_lat or raw_lon in missing_lon:
                 continue
@@ -185,7 +189,6 @@ class GeoBoundsChecker(RowConsumer):
             if self.bounds.contains(lat, lon):
                 continue
             res.out_of_bounds += 1
-            agencies = batch.agencies()
             self._emit(make_finding(
                 "geo_out_of_bounds",
                 f"({raw_lat}, {raw_lon}) falls outside "
@@ -321,8 +324,10 @@ class PrecisionAudit:
 
 
 class PrecisionAuditor(RowConsumer):
-    """Histograms textual decimal precision for configured fields, one
-    distinct value of a batch at a time, weighted by its count.
+    """Histograms textual decimal precision for configured fields, a
+    batch column at a time: one C-level regex full match per present
+    cell, the fraction's length read off the match (decimal_digits is
+    the per-value reference).
 
     Emits one aggregated Finding per field whose values exceed the
     plausible digit bound; per-row findings would just repeat the same
@@ -346,14 +351,14 @@ class PrecisionAuditor(RowConsumer):
 
     def consume_batch(self, batch: Batch) -> None:
         for idx, audit in zip(self.indexes, self.results.values()):
-            absent = batch.missing(idx)
-            for v, n in batch.counts(idx).items():
-                if v in absent:
-                    continue
-                d = decimal_digits(v)
-                if d is None:
-                    audit.non_decimal += n
-                    continue
+            present = filterfalse(batch.missing(idx).__contains__, batch.columns[idx])
+            matches = list(map(_DECIMAL_TEXT_RE.fullmatch, map(str.strip, present)))
+            if None in matches:
+                audit.non_decimal += matches.count(None)
+                matches = list(filter(None, matches))
+            # the fraction's span is (-1, -1) when the literal has no point
+            digits = Counter(map(sub, map(re.Match.end, matches, repeat(1)), map(re.Match.start, matches, repeat(1))))
+            for d, n in digits.items():
                 audit.histogram[d] = audit.histogram.get(d, 0) + n
                 if d > audit.max_decimals_seen:
                     audit.max_decimals_seen = d

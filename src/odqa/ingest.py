@@ -7,10 +7,11 @@ audit reports. One stream_rows pass drives any number of consumers, so
 every audit check shares one read of the file. Delivered rows reach
 consumers in batches of BATCH_ROWS: stream_rows transposes each batch
 once, and the batch counts each column's distinct values, finds its
-missing values and parses its timestamps on first request, for every
-consumer at once. A consumer then judges each distinct value once and
-walks the rows only where findings must come out in row order, which
-keeps the per-cell cost low enough for multi-gigabyte inputs.
+missing values and parses its timestamps (column-wise, into integer
+epochs) on first request, for every consumer at once. A consumer then
+judges each distinct value once and walks the rows only where findings
+must come out in row order, which keeps the per-cell cost low enough for
+multi-gigabyte inputs.
 
 This module owns the run's row semantics. stream_rows takes the
 missing-value classifier, the timestamp parser and the key and agency
@@ -33,7 +34,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import InputError, PlanError
 from .findings import Finding, make_finding
-from .timestamps import TimestampParser
+from .timestamps import Readings, TimestampParser
 
 log = logging.getLogger(__name__)
 
@@ -170,7 +171,7 @@ class RowSemantics:
         emit: Callable[[Finding], None],
         *,
         classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-        parser: Callable[[str], object] | None = None,
+        parser: TimestampParser | None = None,
         key_field: str | None = None,
         agency_field: str | None = None,
     ):
@@ -207,7 +208,10 @@ class Batch:
     mutate what they return.
     """
 
-    __slots__ = ("ordinals", "columns", "_semantics", "_counts", "_missing", "_parsed", "_locators", "_agencies")
+    __slots__ = (
+        "ordinals", "columns", "_semantics", "_counts", "_missing", "_parsed", "_parsed_columns", "_locators",
+        "_agencies",
+    )
 
     def __init__(self, ordinals: list[int], rows: list[list[str]], semantics: RowSemantics):
         self.ordinals = ordinals
@@ -215,7 +219,8 @@ class Batch:
         self._semantics = semantics
         self._counts: dict[int, Counter] = {}
         self._missing: dict[int, dict[str, str]] = {}
-        self._parsed: dict = {}
+        self._parsed = Readings()
+        self._parsed_columns: set[int] = set()
         self._locators: list | None = None
         self._agencies: list | None = None
 
@@ -238,13 +243,22 @@ class Batch:
             }
         return missing
 
-    def parsed(self, i: int) -> dict:
-        """The parser's results for this batch, one dict shared by every
-        column, holding at least each present value of column i."""
+    def parsed(self, i: int) -> Readings:
+        """The parser's readings for this batch, one Readings shared by
+        every column, holding at least each present value of column i.
+
+        The values not read yet go through TimestampParser.parse_many in
+        one call, so most are parsed column-wise into integer wall and
+        UTC epochs; only the few it leaves to the per-value parser (a
+        transition day, a format without a shape, no format matched) get
+        a LocalTimestamp, in fallback.
+        """
         done = self._parsed
-        parser = self._semantics.parser
-        for v in self.counts(i).keys() - done.keys() - self.missing(i).keys():
-            done[v] = parser(v)
+        if i not in self._parsed_columns:
+            self._parsed_columns.add(i)
+            new = self.counts(i).keys() - self.missing(i).keys() - done.wall.keys() - done.fallback.keys()
+            if new:
+                self._semantics.parser.parse_many(new, done)
         return done
 
     def locators(self) -> list:
@@ -493,7 +507,7 @@ def stream_rows(
     emit: Callable[[Finding], None] | None = None,
     *,
     classifier: MissingClassifier = DEFAULT_CLASSIFIER,
-    parser: Callable[[str], object] | None = None,
+    parser: TimestampParser | None = None,
     key_field: str | None = None,
     agency_field: str | None = None,
 ) -> StreamResult:

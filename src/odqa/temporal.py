@@ -8,6 +8,15 @@ zero-second durations, implausibly long spans, on-the-hour volume
 spikes, and post-close update lags are each separate rules so their
 counts stay independently auditable; overlaps (a sentinel row that is
 also negative) are counted explicitly rather than folded together.
+
+DurationAuditor works on the integer epochs of the batch's Readings, a
+column at a time: the hour histograms, midnight counts, durations, lags,
+their day histograms and the duration extremes are map, compress and
+Counter over the batch's columns. It walks rows, in row order, only for
+the rows that emit a finding: an unparseable, gap or placeholder reading
+on created or closed, a negative, zero or extreme duration, or an
+unparseable, infeasible or late update. The counts that go with a
+finding are kept there, so each rule's findings keep their row order.
 """
 
 from __future__ import annotations
@@ -15,13 +24,15 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import repeat
+from itertools import compress, repeat
+from operator import and_, floordiv, gt, le, mod, not_, or_, sub
 from typing import Sequence
 
 from .findings import Measurement, make_finding
 from .ingest import Batch, RawTable, RowConsumer
-from .timestamps import LocalTimestamp, ZoneStatus
+from .timestamps import LocalTimestamp, Readings, ZoneStatus, wall_date
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +41,14 @@ DEFAULT_EXTREME_CUTOFF_DAYS = 730
 DEFAULT_POST_CLOSE_WINDOW_DAYS = 30
 DEFAULT_SIGMA_MULTIPLIER = 3.0
 MIN_SPIKE_SAMPLE = 24
+
+_EPOCH = dt.date(1970, 1, 1)
+_ON_THE_HOUR = {h * 3600: h for h in range(24)}    # seconds of day -> hour, on the hour only
+
+
+def _add_counts(into: dict, counts: Counter) -> None:
+    for key, n in counts.items():
+        into[key] = into.get(key, 0) + n
 
 
 @dataclass(frozen=True)
@@ -206,106 +225,141 @@ class DurationAuditor(RowConsumer):
         self._ic, self._iz, self._iu = (*self.indexes, None)[:3]   # updated: None when unmapped
         self._hist = ([0] * 24, [0] * 24)      # created, closed
         self._parsed = [0, 0]
+        self._sentinel_days = frozenset((d - _EPOCH).days for d in self.rules.sentinel_dates)
+        self._cutoff = self.rules.extreme_cutoff_seconds
+        self._window = self.rules.post_close_window_seconds
         s = self.summary
         s.parse_failures = {self.created_field: 0, self.closed_field: 0}
         if self.updated_field:
             s.parse_failures[self.updated_field] = 0
 
     def consume_batch(self, batch: Batch) -> None:
+        """Counts of the batch in column arithmetic, then the findings of
+        the rows that emit one, walked in row order.
+
+        A cell without a reading (missing, unparseable or, for UTC, in a
+        gap) reads as NaN (none), so every difference with it is NaN and
+        fails every comparison: it drops out of each count by itself.
+        """
         s = self.summary
-        rules = self.rules
-        parsed = batch.parsed(self._ic)     # one dict for all three columns
+        readings = batch.parsed(self._ic)     # one Readings for all three columns
         batch.parsed(self._iz)
         if self._iu is not None:
             batch.parsed(self._iu)
+        wall, utc, fallback = readings.wall, readings.utc, readings.fallback
+        created, closed = batch.columns[self._ic], batch.columns[self._iz]
+        agencies = batch.agencies()
+        rows = range(len(created))
+        day, zero, cutoff, none = repeat(86400), repeat(0), repeat(self._cutoff), repeat(math.nan)
+        failed = {raw for raw, ts in fallback.items() if ts is None}
+        # the values a created or closed cell must report: unparseable, in a gap, on a placeholder date
+        odd = failed.union(raw for raw, ts in fallback.items()
+                           if ts is not None and ts.zone_status is ZoneStatus.DST_GAP_INVALID)
+        sentinel: set[str] = set()
 
-        def column(idx):
-            """The column at idx and its missing values; None and {} when unmapped."""
-            if idx is None:
-                return repeat(None), {}
-            return batch.columns[idx], batch.missing(idx)
+        # parsed counts, on-the-hour histograms and midnight counts, per side
+        for side, (idx, column) in enumerate(((self._ic, created), (self._iz, closed))):
+            counts = batch.counts(idx)
+            self._parsed[side] += (len(column) - sum(map(counts.__getitem__, batch.missing(idx)))
+                                   - sum(map(counts.__getitem__, failed)))
+            walls = list(map(wall.get, column, none))
+            sods = list(map(mod, walls, day))
+            hours = Counter(map(_ON_THE_HOUR.get, sods))
+            hours.pop(None, None)
+            hist = self._hist[side]
+            for hour, n in hours.items():
+                hist[hour] += n
+            if hours[0]:
+                s.midnight.count += hours[0]
+                if agencies is not None:
+                    by_agency = Counter(compress(agencies, map(not_, sods)))
+                    by_agency.pop(None, None)       # rows without an agency
+                    _add_counts(s.midnight.by_agency, by_agency)
+            sentinel.update(compress(column, map(self._sentinel_days.__contains__, map(floordiv, walls, day))))
+        odd |= sentinel
+        emits = [map(odd.__contains__, created), map(odd.__contains__, closed)] if odd else []
 
-        created, missing_c = column(self._ic)
-        closed, missing_z = column(self._iz)
-        updated, missing_u = column(self._iu)
-        pair = (self.created_field, self.closed_field)
-        # per distinct reading: parsed counts, on-the-hour histograms, midnight count
-        for side, idx, missing in ((0, self._ic, missing_c), (1, self._iz, missing_z)):
-            for raw, n in batch.counts(idx).items():
-                ts = None if raw in missing else parsed[raw]
-                if ts is not None:
-                    self._parsed[side] += n
-                    sod = ts.seconds_of_day
-                    if sod % 3600 == 0:
-                        self._hist[side][sod // 3600] += n
-                    if sod == 0:
-                        s.midnight.count += n
-        # the parsed values a created or closed cell must report on
-        odd = {
-            raw for raw, ts in parsed.items()
-            if ts is None or ts.zone_status is ZoneStatus.DST_GAP_INVALID or ts.date in rules.sentinel_dates
-        }
+        # durations between earliest UTC candidates; sentinel rows stay out of the distribution
+        closed_utc = list(map(utc.get, closed, none))
+        durations = list(map(sub, closed_utc, map(utc.get, created, none)))
+        spans = list(map(abs, durations))
+        plausible = list(map(le, spans, cutoff))
+        if sentinel:
+            placeholder = map(or_, map(sentinel.__contains__, created), map(sentinel.__contains__, closed))
+            plausible = list(map(and_, plausible, map(not_, placeholder)))
+        kept = list(compress(durations, plausible))
+        if kept:
+            s.duration_count += len(kept)
+            _add_counts(s.duration_histogram_days, Counter(map(floordiv, kept, day)))
+            low, high = min(kept), max(kept)
+            if s.min_seconds is None or low < s.min_seconds:
+                s.min_seconds = low
+            if s.max_seconds is None or high > s.max_seconds:
+                s.max_seconds = high
+        emits.append(map(or_, map(le, durations, zero), map(gt, spans, cutoff)))    # negative, zero, extreme
 
-        for locator, agency, raw_c, raw_z, raw_u in zip(
-            batch.locators(), batch.agencies() or repeat(None), created, closed, updated,
-        ):
-            if raw_c in missing_c:
-                ts_c = None
-            else:
-                ts_c = parsed[raw_c]
-                if raw_c in odd:
-                    self._report(ts_c, raw_c, self.created_field, locator, agency)
-            if raw_z in missing_z:
-                ts_z = None
-            else:
-                ts_z = parsed[raw_z]
-                if raw_z in odd:
-                    self._report(ts_z, raw_z, self.closed_field, locator, agency)
-            sentinel = False
-            for ts in (ts_c, ts_z):
-                if ts is not None:
-                    if agency and ts.seconds_of_day == 0:
-                        s.midnight.by_agency[agency] = s.midnight.by_agency.get(agency, 0) + 1
-                    if ts.date in rules.sentinel_dates:
-                        sentinel = True
-            if sentinel:
-                s.sentinel_rows += 1
+        updated = None if self._iu is None else batch.columns[self._iu]
+        if updated is not None:
+            # lags from close to update, the feasible ones counted here
+            lags = list(map(sub, map(utc.get, updated, none), closed_utc))
+            lag_spans = list(map(abs, lags))
+            feasible = list(compress(lags, map(le, lag_spans, cutoff)))
+            s.post_close.pairs_checked += len(feasible)
+            _add_counts(s.post_close.lag_histogram_days, Counter(map(floordiv, feasible, day)))
+            emits.append(map(or_, map(gt, lag_spans, cutoff), map(gt, lags, repeat(self._window))))
+            if failed:
+                emits.append(map(failed.__contains__, updated))
 
-            if ts_c is not None and ts_z is not None:
-                seconds, explainable = pair_duration(ts_c, ts_z)
-                if seconds is None:
-                    s.gap_pairs += 1
-                else:
-                    days = seconds / 86400.0
-                    if seconds < 0:
-                        s.negative += 1
-                        if sentinel:
-                            s.sentinel_and_negative += 1
-                        if explainable:
-                            s.dst_explainable_negatives += 1
-                        note = " (sign explainable by a DST fold)" if explainable else ""
-                        self._flag("negative_duration", f"closed precedes created by {-days:.2f} day(s){note}",
-                                   pair, locator, agency, days)
-                    elif seconds == 0:
-                        s.zero += 1
-                        self._flag("zero_duration", "created and closed are equal to the second",
-                                   pair, locator, agency, days)
-                    if abs(seconds) > rules.extreme_cutoff_seconds:
-                        s.extreme += 1
-                        self._flag("extreme_duration", f"absolute duration {abs(days):.1f} day(s) exceeds the "
-                                   f"{rules.extreme_cutoff_days}-day plausibility cutoff", pair, locator, agency, days)
-                    if not sentinel and abs(seconds) <= rules.extreme_cutoff_seconds:
-                        s.duration_count += 1
-                        day_bucket = seconds // 86400
-                        hist = s.duration_histogram_days
-                        hist[day_bucket] = hist.get(day_bucket, 0) + 1
-                        if s.min_seconds is None or seconds < s.min_seconds:
-                            s.min_seconds = seconds
-                        if s.max_seconds is None or seconds > s.max_seconds:
-                            s.max_seconds = seconds
+        walk = set()
+        for flags in emits:
+            walk.update(compress(rows, flags))
+        if walk:
+            locators = batch.locators()
+            for r in sorted(walk):
+                self._row(created[r], closed[r], None if updated is None else updated[r], readings, odd, sentinel,
+                          locators[r], None if agencies is None else agencies[r])
 
-            if raw_u is not None and raw_u not in missing_u:
-                self._post_close(parsed[raw_u], raw_u, ts_z, locator, agency)
+    def _row(self, raw_c: str, raw_z: str, raw_u: str | None, readings: Readings, odd: set[str],
+             sentinel: set[str], locator, agency) -> None:
+        """Findings of one row, and the counts that go with them."""
+        s = self.summary
+        rules = self.rules
+        if raw_c in odd:
+            self._report(raw_c, readings, self.created_field, locator, agency)
+        if raw_z in odd:
+            self._report(raw_z, readings, self.closed_field, locator, agency)
+        is_sentinel = raw_c in sentinel or raw_z in sentinel
+        if is_sentinel:
+            s.sentinel_rows += 1
+        a, b = readings.utc.get(raw_c), readings.utc.get(raw_z)
+        if a is None or b is None:
+            if raw_c in readings.wall and raw_z in readings.wall:
+                s.gap_pairs += 1
+        else:
+            seconds = b - a
+            days = seconds / 86400.0
+            pair = (self.created_field, self.closed_field)
+            if seconds < 0:
+                s.negative += 1
+                if is_sentinel:
+                    s.sentinel_and_negative += 1
+                ts_z = readings.fallback.get(raw_z)     # a fold's later candidate
+                explainable = (b if ts_z is None else ts_z.latest_utc) - a >= 0
+                if explainable:
+                    s.dst_explainable_negatives += 1
+                note = " (sign explainable by a DST fold)" if explainable else ""
+                self._flag("negative_duration", f"closed precedes created by {-days:.2f} day(s){note}",
+                           pair, locator, agency, days)
+            elif seconds == 0:
+                s.zero += 1
+                self._flag("zero_duration", "created and closed are equal to the second",
+                           pair, locator, agency, days)
+            if abs(seconds) > self._cutoff:
+                s.extreme += 1
+                self._flag("extreme_duration", f"absolute duration {abs(days):.1f} day(s) exceeds the "
+                           f"{rules.extreme_cutoff_days}-day plausibility cutoff", pair, locator, agency, days)
+        if raw_u is not None:
+            self._post_close(raw_u, b, readings, locator, agency)
 
     def _flag(self, rule: str, message: str, fields: tuple[str, ...], locator, agency,
               days: float | None = None) -> None:
@@ -315,50 +369,49 @@ class DurationAuditor(RowConsumer):
             measured=None if days is None else Measurement(round(days, 6), "days"),
         ))
 
-    def _report(self, ts: LocalTimestamp | None, raw: str, field: str, locator, agency) -> None:
-        """Findings for a present created or closed cell that parsed as ts."""
-        if ts is None:
+    def _report(self, raw: str, readings: Readings, field: str, locator, agency) -> None:
+        """Findings for a created or closed cell that holds an odd value."""
+        wall = readings.wall.get(raw)
+        if wall is None:
             self.summary.parse_failures[field] += 1
             self._flag("unparseable_timestamp", f"{field!r} value {raw!r} matched no configured format",
                        (field,), locator, agency)
             return
-        if ts.zone_status is ZoneStatus.DST_GAP_INVALID:
+        ts = readings.fallback.get(raw)
+        if ts is not None and ts.zone_status is ZoneStatus.DST_GAP_INVALID:
             self._flag("dst_gap_invalid", f"{field!r} reading {ts.isoformat()} falls in a spring-forward gap",
                        (field,), locator, agency)
-        if ts.date in self.rules.sentinel_dates:
-            self._flag("sentinel_date", f"{field!r} carries placeholder date {ts.date.isoformat()}",
+        day = wall_date(wall)
+        if day in self.rules.sentinel_dates:
+            self._flag("sentinel_date", f"{field!r} carries placeholder date {day.isoformat()}",
                        (field,), locator, agency)
 
-    def _post_close(self, ts_u: LocalTimestamp | None, raw_updated: str, ts_z: LocalTimestamp | None,
-                    locator, agency) -> None:
+    def _post_close(self, raw_u: str, closed_utc: int | None, readings: Readings, locator, agency) -> None:
+        """Findings for an updated cell; consume_batch counts the feasible lags."""
         s = self.summary
-        if ts_u is None:
+        if raw_u not in readings.wall:
+            if raw_u not in readings.fallback:      # missing
+                return
             s.parse_failures[self.updated_field] += 1
             self._flag("unparseable_timestamp",
-                       f"{self.updated_field!r} value {raw_updated!r} matched no configured format",
+                       f"{self.updated_field!r} value {raw_u!r} matched no configured format",
                        (self.updated_field,), locator, agency)
             return
-        if ts_z is None:
+        updated_utc = readings.utc.get(raw_u)
+        if closed_utc is None or updated_utc is None:
             return
-        a = ts_z.earliest_utc
-        b = ts_u.earliest_utc
-        if a is None or b is None:
-            return
-        lag = b - a
-        out = s.post_close
-        out.pairs_checked += 1
+        lag = updated_utc - closed_utc
         rules = self.rules
         days = lag / 86400.0
         fields = (self.closed_field, self.updated_field)
-        if abs(lag) > rules.extreme_cutoff_seconds:
-            out.infeasible_count += 1
+        if abs(lag) > self._cutoff:
+            s.post_close.pairs_checked += 1
+            s.post_close.infeasible_count += 1
             self._flag("post_close_infeasible", f"update lag {days:.1f} day(s) exceeds the "
                        f"{rules.extreme_cutoff_days}-day cutoff; excluded from the distribution",
                        fields, locator, agency, days)
-            return
-        out.lag_histogram_days[lag // 86400] = out.lag_histogram_days.get(lag // 86400, 0) + 1
-        if lag > rules.post_close_window_seconds:
-            out.late_count += 1
+        elif lag > self._window:
+            s.post_close.late_count += 1
             self._flag("post_close_update", f"record updated {days:.1f} day(s) after close "
                        f"(window {rules.post_close_window_days} days)", fields, locator, agency, days)
 

@@ -14,18 +14,28 @@ rather than read from a system tzdata, so results cannot drift with the
 host environment. Config can substitute an explicit transition list.
 
 The two default formats are parsed through a per-format day cache keyed
-by the date prefix raw[:10], since an export repeats few days: an entry
-holds the date, the naive epoch of its midnight and the day's UTC offset,
-which is None when a zone transition can touch that day
-(ZoneRules.fixed_offset). Only such days call ZoneRules.resolve. A prefix
-that is not a valid date is cached as a miss, so the next format is still
-tried; the cache is cleared when full, so garbage input cannot grow it
-without bound. The clock is read in two parts, raw[10:16] (" HH:MM") and
-raw[16:] (":SS AM" or ":SS"), each looked up in a fixed table of every
-valid part; text outside a table falls through to the next format.
+by the date prefix raw[:10], since an export repeats few days. The cache
+is two maps: midnights holds the naive epoch of the day's midnight, None
+for a prefix that is not a valid date (a miss, so the next format is
+still tried), and offsets holds the day's UTC offset only for a day no
+zone transition can touch (ZoneRules.fixed_offset). Both are cleared when
+full, so garbage input cannot grow them without bound. The clock is read
+in two parts, raw[10:16] (" HH:MM") and raw[16:] (":SS AM" or ":SS"),
+each looked up in a fixed table of every valid part; text outside a
+table falls through to the next format.
+
+TimestampParser.parse_many reads many values at once, column by column:
+it slices every value with itemgetter, looks the parts up with
+map(dict.get) over the clock tables and the day cache, and adds the
+results with map(operator.add), so no Python call runs per value. What
+it gives per value is integers (Readings): the naive wall epoch and the
+earliest UTC epoch. It leaves to __call__ only the values on a day a
+transition can touch, the values that reach a format without a shape
+(date-only and strptime formats) and the values that match no format, so
+ZoneRules.resolve and the order of the formats are applied in one place.
+__call__ stays the per-value reference that parse_many agrees with.
 Whole strings are not cached here: the ingest Batch parses each distinct
-value once. Date-only and other formats take the structural or strptime
-path on every call.
+value once.
 """
 
 from __future__ import annotations
@@ -35,7 +45,9 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import compress, repeat
+from operator import add, ge, is_not, itemgetter, not_, sub
+from typing import Iterable, Sequence
 
 _EPOCH_ORD = dt.date(1970, 1, 1).toordinal()
 
@@ -216,6 +228,16 @@ _DATE_SHAPES = {"%Y-%m-%d": _date_ymd, "%m/%d/%Y": _date_mdy}
 _DAY_CACHE_SIZE = 1 << 15   # date prefixes per format; about 90 years of days
 _UNSEEN = object()
 
+_DATE_PART = itemgetter(slice(None, 10))
+_HM_PART = itemgetter(slice(10, 16))
+_SEC_PART = itemgetter(slice(16, None))
+_NO_CLOCK = -86400      # a clock part outside its table: any sum with it is negative
+
+
+def _split(items: list, flags: list) -> tuple[list, list]:
+    """items where flags is true, and where it is false."""
+    return list(compress(items, flags)), list(compress(items, map(not_, flags)))
+
 
 def _wall(raw: str, fmt: str) -> tuple[dt.date, int] | None:
     """Wall reading of a date-only or uncommon format; None on mismatch."""
@@ -232,6 +254,32 @@ def _wall(raw: str, fmt: str) -> tuple[dt.date, int] | None:
     return parsed.date(), parsed.hour * 3600 + parsed.minute * 60 + parsed.second
 
 
+def wall_date(wall: int) -> dt.date:
+    """The date of a naive wall epoch."""
+    return dt.date.fromordinal(wall // 86400 + _EPOCH_ORD)
+
+
+class Readings:
+    """Parse results of many raw values, keyed by the raw text.
+
+    wall maps each value that parsed to its naive wall epoch (seconds
+    since 1970 as if the reading were UTC), so its date and seconds of
+    day follow by division; utc maps the same values to their earliest
+    UTC candidate, except those in a spring-forward gap, which have none.
+    fallback holds the LocalTimestamp that __call__ gave for each value
+    parse_many left to it, None for a value that matched no format; such
+    a value is in fallback only. A fold's later candidate is read from
+    fallback, since only a day a transition touches has one.
+    """
+
+    __slots__ = ("wall", "utc", "fallback")
+
+    def __init__(self):
+        self.wall: dict[str, int] = {}
+        self.utc: dict[str, int] = {}
+        self.fallback: dict[str, LocalTimestamp | None] = {}
+
+
 class TimestampParser:
     """Parses raw strings against an ordered format list and zone rules,
     through the caches described in the module docstring."""
@@ -241,11 +289,11 @@ class TimestampParser:
             raise ValueError("at least one timestamp format is required")
         self.formats = tuple(formats)
         self.rules = rules if rules is not None else us_eastern_rules()
-        # per format: (format, shape or None, its day cache)
-        self._plan = [(fmt, _TIMESTAMP_SHAPES.get(fmt), {}) for fmt in self.formats]
+        # per format: (format, shape or None, its day cache: midnights, offsets)
+        self._plan = [(fmt, _TIMESTAMP_SHAPES.get(fmt), {}, {}) for fmt in self.formats]
 
     def __call__(self, raw: str) -> LocalTimestamp | None:
-        for fmt, shape, days in self._plan:
+        for fmt, shape, midnights, offsets in self._plan:
             if shape is None:
                 wall = _wall(raw, fmt)
                 if wall is not None:
@@ -257,26 +305,83 @@ class TimestampParser:
             if len(raw) != length:
                 continue
             prefix = raw[:10]
-            day = days.get(prefix, _UNSEEN)
-            if day is _UNSEEN:
-                day = self._day(date_of(prefix))
-                if len(days) >= _DAY_CACHE_SIZE:
-                    days.clear()
-                days[prefix] = day
+            midnight = midnights.get(prefix, _UNSEEN)
+            if midnight is _UNSEEN:
+                self._learn_days((prefix,), date_of, midnights, offsets)
+                midnight = midnights[prefix]
             hm = clocks.get(raw[10:16])
             sec = seconds.get(raw[16:])
-            if day is None or hm is None or sec is None:
+            if midnight is None or hm is None or sec is None:
                 continue
-            d, midnight, offset = day
+            d = wall_date(midnight)
             sod = hm + sec
+            offset = offsets.get(prefix)
             if offset is not None:
                 return LocalTimestamp(d, sod, ZoneStatus.UNAMBIGUOUS, (midnight + sod - offset,))
             status, candidates = self.rules.resolve(midnight + sod)
             return LocalTimestamp(d, sod, status, candidates)
         return None
 
-    def _day(self, d: dt.date | None) -> tuple[dt.date, int, int | None] | None:
-        if d is None:
-            return None
-        midnight = _epoch(d, 0)
-        return d, midnight, self.rules.fixed_offset(midnight, 86400)
+    def parse_many(self, values: Iterable[str], into: Readings) -> None:
+        """Add the reading of each value to into, agreeing with __call__.
+
+        Each shaped format in turn takes the pending values whose clock
+        parts and date it reads: those on a day with a fixed offset are
+        done in column arithmetic, those on a transition day go to
+        __call__. The rest stay pending for the next format; at a format
+        without a shape, or after the last, they go to __call__ too.
+        """
+        pending = list(values)
+        slow: list[str] = []
+        for _fmt, shape, midnights, offsets in self._plan:
+            if shape is None or not pending:
+                break
+            _length, date_of, clocks, seconds = shape
+            sods = list(map(add, map(clocks.get, map(_HM_PART, pending), repeat(_NO_CLOCK)),
+                            map(seconds.get, map(_SEC_PART, pending), repeat(_NO_CLOCK))))
+            timed, pending = pending, []
+            if min(sods) < 0:
+                # a clock part outside its table; both inside implies the format's length
+                clocked = list(map(ge, sods, repeat(0)))
+                timed, pending = _split(timed, clocked)
+                sods = list(compress(sods, clocked))
+            prefixes = list(map(_DATE_PART, timed))
+            unseen = set(prefixes).difference(midnights)
+            if unseen:
+                self._learn_days(unseen, date_of, midnights, offsets)
+            offs = list(map(offsets.get, prefixes))
+            if None in offs:
+                # a transition day goes to __call__; a prefix that is no date, to the next format
+                fixed = list(map(is_not, offs, repeat(None)))
+                timed, loose = _split(timed, fixed)
+                prefixes, loose_prefixes = _split(prefixes, fixed)
+                sods = list(compress(sods, fixed))
+                offs = list(compress(offs, fixed))
+                on_transition, undated = _split(loose, list(map(is_not, map(midnights.get, loose_prefixes), repeat(None))))
+                slow += on_transition
+                pending += undated
+            walls = list(map(add, map(midnights.__getitem__, prefixes), sods))
+            into.wall.update(zip(timed, walls))
+            into.utc.update(zip(timed, map(sub, walls, offs)))
+        for raw in slow + pending:
+            ts = into.fallback[raw] = self(raw)
+            if ts is not None:
+                into.wall[raw] = ts.naive_epoch()
+                if ts.utc_candidates:
+                    into.utc[raw] = ts.utc_candidates[0]
+
+    def _learn_days(self, prefixes: Iterable[str], date_of, midnights: dict, offsets: dict) -> None:
+        """Enter each date prefix into one format's day cache."""
+        prefixes = list(prefixes)
+        if len(midnights) + len(prefixes) > _DAY_CACHE_SIZE:
+            midnights.clear()
+            offsets.clear()
+        for prefix in prefixes:
+            d = date_of(prefix)
+            if d is None:
+                midnights[prefix] = None
+                continue
+            midnight = midnights[prefix] = _epoch(d, 0)
+            offset = self.rules.fixed_offset(midnight, 86400)
+            if offset is not None:
+                offsets[prefix] = offset

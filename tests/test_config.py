@@ -89,6 +89,26 @@ def test_invalid_values_are_fatal(tmp_path, text, fragment):
         load_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("fields,message", [
+    ("{created: creatd}", "fields.created is given without fields.closed"),
+    ("{closed: closed}", "fields.closed is given without fields.created"),
+    ("{updated: updated}", "fields.updated is given without fields.created and fields.closed"),
+    ("{created: c, updated: u}", "fields.created is given without fields.closed"),
+    ("{latitude: lat}", "fields.latitude is given without fields.longitude"),
+    ("{longitude: lon, created: c, closed: z}", "fields.longitude is given without fields.latitude"),
+])
+def test_half_of_a_field_pair_names_its_partner(tmp_path, fields, message):
+    # a role read only with its partner would otherwise be skipped silently
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_config(write(tmp_path, f"fields: {fields}\n"))
+
+
+def test_whole_field_pairs_load(tmp_path):
+    cfg = load_config(write(tmp_path, "fields: {created: c, closed: z, updated: u, latitude: y, longitude: x}\n"))
+    fm = cfg.field_map
+    assert (fm.created, fm.closed, fm.updated, fm.latitude, fm.longitude) == ("c", "z", "u", "y", "x")
+
+
 def test_not_yaml_and_not_mapping(tmp_path):
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_config(write(tmp_path, "input: [unclosed\n"))

@@ -348,3 +348,12 @@ def test_validators(type_class, good, bad):
     assert report.checked["v"] == len(good) + len(present_bad)
     assert report.violations["v"] == len(present_bad)
     assert [v for _, v in report.samples["v"]] == present_bad[:TypeChecker.SAMPLE_CAP]
+
+
+def test_epoch_zero_timestamps_are_valid():
+    # wall epoch 0, and UTC epoch 0 under us_eastern: a falsy reading is still a reading
+    d = DataDictionary([FieldDescriptor(name="when", type_class="timestamp")])
+    report = feed(TypeChecker(d), {"when": ["01/01/1970 12:00:00 AM", "12/31/1969 07:00:00 PM", "nope"]})
+    assert report.checked["when"] == 3
+    assert report.violations["when"] == 1
+    assert report.samples["when"] == [(3, "nope")]

@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odqa.domain_rules import (
@@ -16,6 +16,7 @@ from odqa.domain_rules import (
     load_reference,
 )
 from odqa.errors import ConfigError
+from odqa.ingest import DEFAULT_CLASSIFIER
 
 from conftest import feed
 
@@ -297,3 +298,29 @@ def test_audit_precision_matches_counter(values):
     assert audit.histogram == dict(expect)
     assert audit.non_decimal == non_decimal
     assert audit.flagged == sum(n for d, n in expect.items() if d > 6)
+
+
+decimal_texts = st.one_of(
+    st.builds(
+        "{}{}{}{}{}".format,
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", "+", "-", "--"]),
+        st.text(alphabet="0123456789", max_size=4),
+        st.sampled_from(["", "."]).flatmap(lambda point: st.text(alphabet="0123456789.", max_size=18).map(
+            lambda frac: point + frac)),
+        st.sampled_from(["", " ", "\u00a0", "e5"]),     # strip() removes a no-break space
+    ),
+    st.sampled_from(["NA", "", "forty", "٤٠.٥", "40.５", "1e3", "nan"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(decimal_texts, max_size=40), batch_rows=st.sampled_from([1, 5, 256]))
+def test_column_digit_count_agrees_with_decimal_digits(values, batch_rows):
+    audit = feed(PrecisionAuditor(["value"], max_decimals=6), {"value": values}, batch_rows=batch_rows)["value"]
+    digits = [decimal_digits(v) for v in values if DEFAULT_CLASSIFIER.kind_of(v) is None]
+    counted = Counter(d for d in digits if d is not None)
+    assert audit.histogram == dict(counted)
+    assert audit.non_decimal == digits.count(None)
+    assert audit.flagged == sum(n for d, n in counted.items() if d > 6)
+    assert audit.max_decimals_seen == max(counted, default=0)

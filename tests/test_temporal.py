@@ -5,6 +5,7 @@ the input values, not read back from the implementation.
 """
 
 import math
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,11 @@ from odqa.temporal import (
     DurationAuditor,
     MIN_SPIKE_SAMPLE,
     TemporalRules,
+    TemporalSummary,
     evaluate_hour_histogram,
     pair_duration,
 )
-from odqa.timestamps import TimestampParser
+from odqa.timestamps import TimestampParser, ZoneStatus
 
 from conftest import feed
 
@@ -412,3 +414,167 @@ def test_rules_unit_conversions():
     r = TemporalRules(extreme_cutoff_days=2, post_close_window_days=1)
     assert r.extreme_cutoff_seconds == 172800
     assert r.post_close_window_seconds == 86400
+
+
+# ------------------------------------------- column arithmetic against rows
+
+def reference_audit(columns, rules, updated_field, agencies):
+    """(summary dict, findings) that DurationAuditor must give, recomputed
+    row by row from TimestampParser.__call__, pair_duration and the
+    earliest UTC candidates, in the order a row-by-row walk emits them."""
+    parse = TimestampParser()
+    s = TemporalSummary()
+    s.parse_failures = {"created": 0, "closed": 0, **({updated_field: 0} if updated_field else {})}
+    hist = {"created": [0] * 24, "closed": [0] * 24}
+    parsed = {"created": 0, "closed": 0}
+    findings = []
+
+    def flag(rule, fields, n, days=None):
+        findings.append((rule, fields, n, None if days is None else round(days, 6)))
+
+    def reading(field, raw, n):
+        if raw in ("", "NA"):
+            return None
+        ts = parse(raw)
+        if ts is None:
+            s.parse_failures[field] += 1
+            flag("unparseable_timestamp", (field,), n)
+        return ts
+
+    rows = zip(columns["created"], columns["closed"], columns.get(updated_field, repeat(None)), agencies)
+    for n, (raw_c, raw_z, raw_u, agency) in enumerate(rows, 1):
+        sentinel = False
+        both = []
+        for field, raw in (("created", raw_c), ("closed", raw_z)):
+            ts = reading(field, raw, n)
+            both.append(ts)
+            if ts is None:
+                continue
+            parsed[field] += 1
+            if ts.seconds_of_day % 3600 == 0:
+                hist[field][ts.hour] += 1
+            if ts.seconds_of_day == 0:
+                s.midnight.count += 1
+                if agency not in ("", "NA"):
+                    s.midnight.by_agency[agency] = s.midnight.by_agency.get(agency, 0) + 1
+            if ts.zone_status is ZoneStatus.DST_GAP_INVALID:
+                flag("dst_gap_invalid", (field,), n)
+            if ts.date in rules.sentinel_dates:
+                flag("sentinel_date", (field,), n)
+                sentinel = True
+        s.sentinel_rows += sentinel
+        ts_c, ts_z = both
+        if ts_c is not None and ts_z is not None:
+            seconds, explainable = pair_duration(ts_c, ts_z)
+            if seconds is None:
+                s.gap_pairs += 1
+            else:
+                days = seconds / 86400
+                if seconds < 0:
+                    s.negative += 1
+                    s.sentinel_and_negative += sentinel
+                    s.dst_explainable_negatives += explainable
+                    flag("negative_duration", ("created", "closed"), n, days)
+                elif seconds == 0:
+                    s.zero += 1
+                    flag("zero_duration", ("created", "closed"), n, days)
+                if abs(seconds) > rules.extreme_cutoff_seconds:
+                    s.extreme += 1
+                    flag("extreme_duration", ("created", "closed"), n, days)
+                elif not sentinel:
+                    s.duration_count += 1
+                    s.duration_histogram_days[seconds // 86400] = s.duration_histogram_days.get(seconds // 86400, 0) + 1
+                    s.min_seconds = seconds if s.min_seconds is None else min(s.min_seconds, seconds)
+                    s.max_seconds = seconds if s.max_seconds is None else max(s.max_seconds, seconds)
+        if raw_u is None:
+            continue
+        ts_u = reading(updated_field, raw_u, n)
+        if ts_u is None or ts_z is None or ts_u.earliest_utc is None or ts_z.earliest_utc is None:
+            continue
+        lag = ts_u.earliest_utc - ts_z.earliest_utc
+        out = s.post_close
+        out.pairs_checked += 1
+        fields = ("closed", updated_field)
+        if abs(lag) > rules.extreme_cutoff_seconds:
+            out.infeasible_count += 1
+            flag("post_close_infeasible", fields, n, lag / 86400)
+            continue
+        out.lag_histogram_days[lag // 86400] = out.lag_histogram_days.get(lag // 86400, 0) + 1
+        if lag > rules.post_close_window_seconds:
+            out.late_count += 1
+            flag("post_close_update", fields, n, lag / 86400)
+    for field in ("created", "closed"):
+        s.spike_parsed[field] = parsed[field]
+        s.spikes[field] = None if parsed[field] < MIN_SPIKE_SAMPLE else evaluate_hour_histogram(hist[field])
+    return s.as_dict(), findings
+
+
+def stamp(wall, fmt):
+    return wall.strftime(fmt)
+
+
+# readings that put every rule to work: a fold, a gap, both sides of
+# spring forward, placeholder and epoch-zero dates, the 12 o'clocks,
+# a far future, text that is no timestamp, and the missing tokens
+TEMPORAL_POOL = [
+    "06/01/2023 10:00:00 AM", "06/01/2023 10:00:00 PM", "06/02/2023 10:00:00 AM",
+    "06/01/2023 12:00:00 AM", "06/01/2023 12:00:00 PM", "2023-06-01 00:00:00", "2023-06-01 13:00:00",
+    "11/05/2023 01:15:00 AM", "11/05/2023 01:45:00 AM", "2023-11-05 01:30:00", "11/05/2023 12:00:00 AM",
+    "03/12/2023 02:30:00 AM", "03/12/2023 01:30:00 AM", "03/12/2023 03:30:00 AM", "2023-03-12 02:00:00",
+    "01/01/1900 03:47:12 AM", "1900-01-01 00:00:00", "01/01/1970 12:00:00 AM", "12/31/1969 07:00:00 PM",
+    "01/14/2022 10:15:00 AM", "07/04/2031 09:00:00 AM",
+    "not a date", "13/45/2023 99:00:00 PM", "06/01/2023 10:00:00 am",
+    "", "NA",
+]
+
+temporal_values = st.one_of(
+    st.sampled_from(TEMPORAL_POOL),
+    st.builds(
+        stamp,
+        st.datetimes(min_value=dt.datetime(2022, 1, 1), max_value=dt.datetime(2024, 12, 31)),
+        st.sampled_from(["%m/%d/%Y %I:%M:%S %p", "%Y-%m-%d %H:%M:%S"]),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(temporal_values, temporal_values, temporal_values,
+                            st.sampled_from(["NYPD", "DOT", "NA", ""])), max_size=60),
+    cutoff_days=st.sampled_from([0, 1, 30, 730]),
+    window_days=st.sampled_from([0, 1, 30]),
+    sentinel=st.sampled_from([dt.date(1900, 1, 1), dt.date(2023, 6, 1)]),
+    with_updated=st.booleans(),
+    batch_rows=st.sampled_from([1, 7, 256]),
+)
+def test_auditor_agrees_with_a_row_by_row_walk(rows, cutoff_days, window_days, sentinel, with_updated, batch_rows):
+    rules = TemporalRules(sentinel_dates=(sentinel,), extreme_cutoff_days=cutoff_days,
+                          post_close_window_days=window_days)
+    columns = {"created": [r[0] for r in rows], "closed": [r[1] for r in rows]}
+    if with_updated:
+        columns["updated"] = [r[2] for r in rows]
+    agencies = [r[3] for r in rows]
+    updated_field = "updated" if with_updated else None
+    got = []
+    auditor = DurationAuditor(created_field="created", closed_field="closed", updated_field=updated_field,
+                              rules=rules, emit=got.append)
+    summary = feed(auditor, {**columns, "agency": agencies}, batch_rows=batch_rows, agency_field="agency")
+    want_summary, want_findings = reference_audit(columns, rules, updated_field, agencies)
+    assert summary.as_dict() == want_summary
+    row_findings = [(f.rule_id, f.fields, f.row_locator, f.measured and f.measured.value)
+                    for f in got if f.row_locator is not None]
+    assert row_findings == want_findings
+
+
+def test_epoch_zero_readings_count_everywhere():
+    # wall epoch 0, and UTC epoch 0 under us_eastern: both must read as present
+    zero_wall, zero_utc = "01/01/1970 12:00:00 AM", "12/31/1969 07:00:00 PM"
+    s, findings = audit({"created": [zero_utc, zero_wall], "closed": [zero_wall, zero_utc]})
+    assert s.spike_parsed == {"created": 2, "closed": 2}
+    assert s.midnight.count == 2
+    assert s.parse_failures == {"created": 0, "closed": 0}
+    assert s.duration_count == 2
+    assert (s.min_seconds, s.max_seconds) == (-5 * 3600, 5 * 3600)
+    hist = audit({"created": [zero_utc, zero_wall] * 12, "closed": [""] * 24})[0].spikes["created"].histogram
+    assert hist[0] == 12 and hist[19] == 12
+    assert [f.rule_id for f in findings if f.row_locator is not None] == ["negative_duration"]

@@ -7,21 +7,30 @@ system tzdata where available.
 """
 
 import calendar
+import csv
 import datetime as dt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odqa import timestamps
+from odqa.config import load_config
+from odqa.generator import generate_fixture
+from odqa.ingest import BATCH_ROWS, DEFAULT_CLASSIFIER
+from odqa.pipeline import run_audit
 from odqa.timestamps import (
     DATE_ONLY_FORMATS,
     DEFAULT_TIMESTAMP_FORMATS,
     LocalTimestamp,
+    Readings,
     TimestampParser,
     ZoneRules,
     ZoneStatus,
     us_eastern_rules,
 )
+
+from conftest import AUDIT_CONFIG_TEMPLATE
 
 UTC = dt.timezone.utc
 
@@ -444,3 +453,129 @@ def test_seconds_and_meridiem_share_the_hour_minute_part():
         ts = parser(raw)
         assert (ts.zone_status, ts.utc_candidates) == rules.resolve(naive_epoch(*wall)), raw
         assert ts.naive_epoch() == naive_epoch(*wall)
+
+
+# ------------------------------------------------------------ column path
+
+def assert_readings_agree(into, parser, values):
+    """Readings of values, as parse_many gave them, against parser(raw) per value."""
+    for raw in values:
+        want = parser(raw)
+        if want is None:
+            assert raw not in into.wall and raw not in into.utc, raw
+            assert into.fallback[raw] is None, raw
+            continue
+        assert into.wall[raw] == want.naive_epoch(), raw
+        assert into.utc.get(raw) == want.earliest_utc, raw
+        if raw in into.fallback:
+            assert into.fallback[raw] == want, raw
+        else:   # only a day no transition touches is read column-wise
+            assert want.zone_status is ZoneStatus.UNAMBIGUOUS, raw
+
+
+# every kind of day the column path must tell apart: both US transition
+# days and their neighbours, the custom tables' transition days, the
+# placeholder date, both sides of the epoch and a leap day
+COLUMN_DAYS = sorted({
+    d + dt.timedelta(days=k)
+    for d in transition_days(2022, 2023) + [
+        dt.date(2022, 4, 3), dt.date(2022, 10, 2), dt.date(2023, 3, 5), dt.date(2023, 7, 1),
+        dt.date(2018, 11, 4), dt.date(2019, 2, 16), dt.date(2019, 9, 8),
+    ]
+    for k in (-1, 0, 1)
+} | {dt.date(1900, 1, 1), dt.date(1969, 12, 31), dt.date(1970, 1, 1), dt.date(2024, 2, 29)})
+
+COLUMN_RULES = {"us_eastern": us_eastern_rules()} | {
+    name: ZoneRules(transitions, initial, name=name)
+    for name, (initial, _span, _start, transitions) in CUSTOM_RULES.items()
+}
+
+# formats a parser may be given, in any order: the two shaped defaults, the
+# date-only fallbacks, and one strptime format
+COLUMN_FORMATS = DEFAULT_TIMESTAMP_FORMATS + DATE_ONLY_FORMATS + ("%d/%m/%Y %I:%M:%S %p",)
+
+dates = st.one_of(
+    st.builds(dt.date.strftime, st.sampled_from(COLUMN_DAYS), st.sampled_from(["%m/%d/%Y", "%Y-%m-%d"])),
+    st.sampled_from(["02/30/2023", "13/01/2020", "00/10/2020", "2023-02-30", "2020-13-01", "1/2/2023", "2023-1-02"]),
+)
+clocks = st.one_of(
+    st.builds(
+        lambda seconds, fmt: (dt.datetime(2000, 1, 1) + dt.timedelta(seconds=seconds)).strftime(fmt),
+        st.sampled_from(PROBE_SECONDS) | st.integers(0, 86399),
+        st.sampled_from([" %I:%M:%S %p", " %H:%M:%S"]),
+    ),
+    st.sampled_from([
+        " 13:00:00 PM", " 00:30:00 AM", " 12:60:00 PM", " 11:59:60 AM", " 11:59:59 am", " 24:00:00",
+        " 23:59:60", " 1:02:03 AM", " 01:02:03", " 01:02:03 AM ", "T01:02:03", " １１:59:59 AM", "",
+    ]),
+)
+raw_timestamps = st.one_of(
+    st.builds(str.__add__, dates, clocks),
+    st.sampled_from(["", "not a date", "2023-07-04T10:00:00", "12:00:00 AM 07/04/2023"]),
+    st.text(alphabet="0123456789/-: APM", max_size=24),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    order=st.permutations(COLUMN_FORMATS),
+    n_formats=st.integers(1, len(COLUMN_FORMATS)),
+    zone=st.sampled_from(sorted(COLUMN_RULES)),
+    batches=st.lists(st.lists(raw_timestamps, max_size=30), min_size=1, max_size=3),
+)
+def test_column_parse_agrees_with_call(order, n_formats, zone, batches):
+    formats, rules = order[:n_formats], COLUMN_RULES[zone]
+    parser = TimestampParser(formats, rules)
+    into = Readings()
+    for batch in batches:       # later batches meet a warm day cache
+        parser.parse_many(set(batch), into)
+    assert_readings_agree(into, TimestampParser(formats, rules), [v for b in batches for v in b])
+
+
+def test_column_parse_survives_a_day_cache_overflow(monkeypatch):
+    monkeypatch.setattr(timestamps, "_DAY_CACHE_SIZE", 4)
+    parser = TimestampParser()
+    days = [dt.date(2023, 3, 1) + dt.timedelta(days=k) for k in range(20)]
+    values = [d.strftime(fmt) for d in days for fmt in ("%m/%d/%Y 02:30:00 AM", "%Y-%m-%d 01:30:00")]
+    into = Readings()
+    for lo in range(0, len(values), 6):
+        parser.parse_many(values[lo:lo + 6], into)
+        assert len(parser._plan[0][2]) <= 6
+    assert_readings_agree(into, TimestampParser(), values)
+
+
+def test_audit_parses_per_value_only_what_the_column_path_cannot(tmp_path, monkeypatch):
+    """Work-count guard: during an audit, TimestampParser.__call__ runs once
+    per batch for each distinct present value of the timestamp columns that
+    lies on a US transition day or is not the exact shape of a default
+    format; everything else is read column-wise."""
+    fx = generate_fixture(tmp_path / "fx", rows=2000, seed=16)
+    cfg_path = tmp_path / "audit.yaml"
+    cfg_path.write_text(AUDIT_CONFIG_TEMPLATE.format(
+        input=fx.csv_path, dictionary=fx.dictionary_path, zips=fx.zip_reference_path, out_dir=tmp_path / "out",
+    ), encoding="utf-8")
+    calls = []
+    per_value = TimestampParser.__call__
+    monkeypatch.setattr(TimestampParser, "__call__", lambda self, raw: calls.append(raw) or per_value(self, raw))
+    run_audit(load_config(cfg_path), write=False)
+
+    transition = set(transition_days(1987, 2040))
+    shapes = {22: "%m/%d/%Y %I:%M:%S %p", 19: "%Y-%m-%d %H:%M:%S"}
+
+    def per_value_only(raw):
+        try:
+            wall = dt.datetime.strptime(raw, shapes[len(raw)])
+        except (KeyError, ValueError):
+            return True
+        return wall.strftime(shapes[len(raw)]) != raw or wall.date() in transition
+
+    with open(fx.csv_path, newline="", encoding="utf-8") as fh:
+        records = csv.reader(fh)
+        header = next(records)
+        columns = [header.index(c) for c in ("Created Date", "Closed Date", "Resolution Action Updated Date")]
+        rows = [r for r in records if len(r) == len(header)]
+    expected = 0
+    for lo in range(0, len(rows), BATCH_ROWS):
+        values = {r[i] for r in rows[lo:lo + BATCH_ROWS] for i in columns}
+        expected += sum(DEFAULT_CLASSIFIER.kind_of(v) is None and per_value_only(v) for v in values)
+    assert 0 < len(calls) == expected
