@@ -14,13 +14,13 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import filterfalse, repeat
+from itertools import compress, filterfalse, repeat
 from operator import sub
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import ConfigError
-from .findings import Measurement, make_finding
+from .findings import Measurement, as_sink, emit_first, make_finding
 from .ingest import Batch, RowConsumer
 
 log = logging.getLogger(__name__)
@@ -75,7 +75,9 @@ class ReferenceChecker(RowConsumer):
 
     One checker serves every reference field, so its invalid_value
     findings arrive in row order, fields in the given order within a row.
-    Each distinct value of a batch is looked up once.
+    Each distinct value of a batch is looked up once, and the counts add
+    up per distinct value; only the findings that fill a sample slot are
+    built, and the sink tallies the rest.
     """
 
     def __init__(
@@ -86,38 +88,43 @@ class ReferenceChecker(RowConsumer):
     ):
         self.references = dict(references)
         self.columns = tuple(self.references)
-        self._emit = emit if emit is not None else (lambda f: None)
+        self._sink = as_sink(emit)
         self.results = {f: MembershipResult(f) for f in self.references}
 
     def consume_batch(self, batch: Batch) -> None:
         flagged = []
+        total = 0
+        agencies = batch.agencies()
         for idx, reference, res in zip(self.indexes, self.references.values(), self.results.values()):
             counts = batch.counts(idx)
             absent = batch.missing(idx)
             res.checked += len(batch.ordinals) - sum(map(counts.__getitem__, absent))
             bad = counts.keys() - reference - absent.keys()
-            if bad:
-                flagged.append((batch.columns[idx], bad, res))
+            if not bad:
+                continue
+            column = batch.columns[idx]
+            flagged.append((column, bad, res))
+            for v in filter(bad.__contains__, counts):     # first-appearance order
+                res.invalid_values[v] = res.invalid_values.get(v, 0) + counts[v]
+            invalid = sum(map(counts.__getitem__, bad))
+            res.invalid += invalid
+            total += invalid
+            if agencies is not None:
+                by_agency = Counter(compress(agencies, map(bad.__contains__, column)))
+                by_agency.pop(None, None)       # rows without an agency
+                for agency, n in by_agency.items():
+                    res.by_agency_invalid[agency] = res.by_agency_invalid.get(agency, 0) + n
         if not flagged:
             return
-        locators, agencies = batch.locators(), batch.agencies()
-        for n, locator in enumerate(locators):
-            for column, bad, res in flagged:
-                v = column[n]
-                if v not in bad:
-                    continue
-                res.invalid += 1
-                res.invalid_values[v] = res.invalid_values.get(v, 0) + 1
-                agency = None if agencies is None else agencies[n]
-                if agency is not None:
-                    res.by_agency_invalid[agency] = res.by_agency_invalid.get(agency, 0) + 1
-                self._emit(make_finding(
-                    "invalid_value",
-                    f"{res.field!r} value {v!r} is not in the reference set",
-                    fields=(res.field,),
-                    row_locator=locator,
-                    agency=agency,
-                ))
+        cells = ((n, column[n], res) for n in range(len(batch.ordinals))
+                 for column, bad, res in flagged if column[n] in bad)
+        emit_first(self._sink, "invalid_value", total, (make_finding(
+            "invalid_value",
+            f"{res.field!r} value {v!r} is not in the reference set",
+            fields=(res.field,),
+            row_locator=batch.locators()[n],
+            agency=None if agencies is None else agencies[n],
+        ) for n, v, res in cells))
 
     def finish(self) -> dict[str, MembershipResult]:
         return self.results
@@ -166,7 +173,7 @@ class GeoBoundsChecker(RowConsumer):
         self.lon_field = lon_field
         self.columns = (lat_field, lon_field)
         self.bounds = bounds
-        self._emit = emit if emit is not None else (lambda f: None)
+        self._sink = as_sink(emit)
         self.result = GeoResult()
 
     def consume_batch(self, batch: Batch) -> None:
@@ -174,8 +181,9 @@ class GeoBoundsChecker(RowConsumer):
         missing_lat = batch.missing(ilat)
         missing_lon = batch.missing(ilon)
         res = self.result
-        agencies = batch.agencies()
-        for n, (raw_lat, raw_lon) in enumerate(zip(batch.columns[ilat], batch.columns[ilon])):
+        lats, lons = batch.columns[ilat], batch.columns[ilon]
+        outside = []
+        for n, (raw_lat, raw_lon) in enumerate(zip(lats, lons)):
             if raw_lat in missing_lat or raw_lon in missing_lon:
                 continue
             try:
@@ -186,18 +194,21 @@ class GeoBoundsChecker(RowConsumer):
                 res.unparsed += 1
                 continue
             res.pairs_checked += 1
-            if self.bounds.contains(lat, lon):
-                continue
-            res.out_of_bounds += 1
-            self._emit(make_finding(
-                "geo_out_of_bounds",
-                f"({raw_lat}, {raw_lon}) falls outside "
-                f"[{self.bounds.lat_min}, {self.bounds.lat_max}] x "
-                f"[{self.bounds.lon_min}, {self.bounds.lon_max}]",
-                fields=(self.lat_field, self.lon_field),
-                row_locator=batch.locators()[n],
-                agency=None if agencies is None else agencies[n],
-            ))
+            if not self.bounds.contains(lat, lon):
+                outside.append(n)
+        if not outside:
+            return
+        res.out_of_bounds += len(outside)
+        b = self.bounds
+        agencies = batch.agencies()
+        emit_first(self._sink, "geo_out_of_bounds", len(outside), (make_finding(
+            "geo_out_of_bounds",
+            f"({lats[n]}, {lons[n]}) falls outside "
+            f"[{b.lat_min}, {b.lat_max}] x [{b.lon_min}, {b.lon_max}]",
+            fields=(self.lat_field, self.lon_field),
+            row_locator=batch.locators()[n],
+            agency=None if agencies is None else agencies[n],
+        ) for n in outside))
 
     def finish(self) -> GeoResult:
         return self.result
@@ -219,7 +230,9 @@ class UniqueChecker(RowConsumer):
     so its missing_key findings arrive in row order, specs in the given
     order within a row. One Finding per duplicated value, listing every
     locator it appears at. When a field is required, blank cells are
-    violations too.
+    violations too; they are counted per distinct missing value, and only
+    the findings that fill a sample slot are built, the sink tallying the
+    rest.
     """
 
     LOCATOR_CAP = 20
@@ -232,7 +245,7 @@ class UniqueChecker(RowConsumer):
     ):
         self.specs = list(specs)
         self.columns = tuple(f for f, _ in self.specs)
-        self._emit = emit if emit is not None else (lambda f: None)
+        self._sink = as_sink(emit)
         self.results = [UniqueResult(f) for f, _ in self.specs]
         # per spec: required, result, first ordinal of each value, ordinals of each duplicate
         self._state = [(required, res, {}, {}) for (_f, required), res in zip(self.specs, self.results)]
@@ -240,30 +253,37 @@ class UniqueChecker(RowConsumer):
     def consume_batch(self, batch: Batch) -> None:
         ordinals = batch.ordinals
         slow = []
+        blank = []      # the required specs with blank cells in the batch
+        total = 0
         for idx, state in zip(self.indexes, self._state):
-            _required, res, first_seen, _dups = state
+            required, res, first_seen, _dups = state
             column = batch.columns[idx]
             counts = batch.counts(idx)
-            if (len(counts) == len(column) and not batch.missing(idx)
-                    and first_seen.keys().isdisjoint(counts)):
+            absent = batch.missing(idx)
+            if len(counts) == len(column) and not absent and first_seen.keys().isdisjoint(counts):
                 first_seen.update(zip(column, ordinals))
                 res.total_present += len(column)
-            else:
-                slow.append((column, batch.missing(idx), state))
-        for n, ordinal in enumerate(ordinals):
-            for column, absent, (required, res, first_seen, dups) in slow:
-                v = column[n]
+                continue
+            missing = sum(map(counts.__getitem__, absent))
+            res.missing += missing
+            res.total_present += len(column) - missing
+            if required and missing:
+                blank.append((column, absent, res))
+                total += missing
+            slow.append((column, absent, state))
+        if blank:
+            cells = ((ordinal, res) for n, ordinal in enumerate(ordinals)
+                     for column, absent, res in blank if column[n] in absent)
+            emit_first(self._sink, "missing_key", total, (make_finding(
+                "missing_key",
+                f"required unique field {res.field!r} is blank",
+                fields=(res.field,),
+                row_locator=ordinal,
+            ) for ordinal, res in cells))
+        for column, absent, (_required, _res, first_seen, dups) in slow:
+            for v, ordinal in zip(column, ordinals):
                 if v in absent:
-                    res.missing += 1
-                    if required:
-                        self._emit(make_finding(
-                            "missing_key",
-                            f"required unique field {res.field!r} is blank",
-                            fields=(res.field,),
-                            row_locator=ordinal,
-                        ))
                     continue
-                res.total_present += 1
                 first = first_seen.get(v)
                 if first is None:
                     first_seen[v] = ordinal
@@ -287,7 +307,7 @@ class UniqueChecker(RowConsumer):
                 where = ", ".join(str(o) for o in shown)
                 if overflow:
                     where += f", and {overflow} more"
-                self._emit(make_finding(
+                self._sink.emit(make_finding(
                     "duplicate_key",
                     f"{res.field!r} value {value!r} appears {occurrences} times (rows {where})",
                     fields=(res.field,),

@@ -9,7 +9,10 @@ overridden per rule from config without touching the emitting code.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Callable, Iterable
 
 
 class Severity(enum.IntEnum):
@@ -160,27 +163,35 @@ def make_finding(
     )
 
 
-def apply_severity_overrides(finding: Finding, overrides: dict[str, Severity]) -> Finding:
-    new = overrides.get(finding.rule_id)
-    return finding if new is None else finding.with_severity(new)
-
-
 @dataclass
 class FindingSink:
     """Incremental aggregator: exact per-rule counts plus a capped sample.
 
     Samples keep the first `sample_cap` findings per rule in arrival order,
     which for streaming checks is row order, so two runs over the same
-    input retain identical samples.
+    input retain identical samples. `overrides` moves a rule's severity;
+    emit and tally apply it.
+
+    A sink is an emit callable, and the consumers that can flag many rows
+    ask it for the rule's room first: they build only the findings that
+    fill a sample slot and tally the rest, so counts stay exact while only
+    kept samples are built. Every finding that is built goes through emit.
     """
 
     sample_cap: int = 100
+    overrides: dict[str, Severity] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
     samples: dict[str, list[Finding]] = field(default_factory=dict)
     severity_counts: dict[Severity, int] = field(default_factory=dict)
 
+    def __call__(self, finding: Finding) -> None:
+        self.emit(finding)
+
     def emit(self, finding: Finding) -> None:
         rid = finding.rule_id
+        new = self.overrides.get(rid)
+        if new is not None:
+            finding = finding.with_severity(new)
         self.counts[rid] = self.counts.get(rid, 0) + 1
         bucket = self.samples.setdefault(rid, [])
         if len(bucket) < self.sample_cap:
@@ -188,8 +199,54 @@ class FindingSink:
         sev = finding.severity
         self.severity_counts[sev] = self.severity_counts.get(sev, 0) + 1
 
+    def room(self, rule_id: str) -> int:
+        """Sample slots left for rule_id."""
+        return self.sample_cap - len(self.samples.get(rule_id, ()))
+
+    def tally(self, rule_id: str, n: int) -> None:
+        """Count n findings of rule_id, at its catalog severity or its
+        override, without building them."""
+        self.counts[rule_id] = self.counts.get(rule_id, 0) + n
+        self.samples.setdefault(rule_id, [])
+        sev = self.overrides.get(rule_id)
+        if sev is None:
+            sev = RULE_CATALOG[rule_id][0]
+        self.severity_counts[sev] = self.severity_counts.get(sev, 0) + n
+
     def count_at_or_above(self, threshold: Severity) -> int:
         return sum(n for sev, n in self.severity_counts.items() if sev >= threshold)
 
     def total(self) -> int:
         return sum(self.counts.values())
+
+
+class _Relay:
+    """A plain emit callable behind the sink's room: room never runs out,
+    so the callable is handed every finding, in the order it is built."""
+
+    __slots__ = ("emit",)
+
+    def __init__(self, emit: Callable[[Finding], None]):
+        self.emit = emit
+
+    def room(self, rule_id: str) -> int:
+        return sys.maxsize
+
+
+def as_sink(emit: Callable[[Finding], None] | None) -> FindingSink | _Relay:
+    """What a consumer that can flag many rows emits into: a FindingSink as
+    it is, a plain callable relayed finding by finding, and None a sink
+    that keeps counts but no samples."""
+    if isinstance(emit, FindingSink):
+        return emit
+    return FindingSink(sample_cap=0) if emit is None else _Relay(emit)
+
+
+def emit_first(sink: FindingSink | _Relay, rule_id: str, total: int, findings: Iterable[Finding]) -> None:
+    """Hand sink total findings of rule_id: the first room(rule_id) are taken
+    from findings, which builds them lazily in row order, the rest tallied."""
+    room = sink.room(rule_id)
+    for f in islice(findings, room):
+        sink.emit(f)
+    if total > room:
+        sink.tally(rule_id, total - room)

@@ -16,6 +16,13 @@ report sections, then assembles the AuditReport, sets the exit status
 and writes the requested renderings into out_dir. Stage order is
 consumer order, and so the order in which findings reach the sink.
 
+Every consumer, and stream_rows, is handed the run's FindingSink as its
+emit. The sink applies the severity overrides. The consumers that can
+flag a large share of rows (durations, reference sets, the geo box,
+required keys) ask it how many sample slots a rule has left, build only
+those findings and tally the rest, so counts stay exact and only the
+kept samples are built.
+
 reduce-apply streams the file through a plan instead of consumers, so it
 opens the table itself and shares the driver's sink, assembly and exit
 status code.
@@ -31,8 +38,6 @@ import json
 import logging
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Callable
-
 from .config import AuditConfig
 from .dictionary import (
     DataDictionary,
@@ -50,7 +55,7 @@ from .domain_rules import (
     load_reference,
 )
 from .errors import ConfigError, PlanError
-from .findings import Finding, FindingSink, apply_severity_overrides, make_finding
+from .findings import FindingSink, make_finding
 from .ingest import AbsentColumns, RawTable, RowConsumer, StreamResult, open_table, stream_rows
 from .profiling import ProfileCollector, concentration, tier_table
 from .redundancy import ConcatChecker, FDChecker, PairCollector
@@ -97,15 +102,13 @@ def _require_input(cfg: AuditConfig) -> Path:
 
 
 def _open(cfg: AuditConfig):
-    """Return a finding sink, its emit (severity overrides applied) and the
+    """Return a finding sink, which applies the severity overrides, and the
     input table, whose header findings are already emitted."""
-    sink = FindingSink(cfg.sample_cap)
-    overrides = cfg.severity_overrides
-    emit = (lambda f: sink.emit(apply_severity_overrides(f, overrides))) if overrides else sink.emit
+    sink = FindingSink(cfg.sample_cap, cfg.severity_overrides)
     table = open_table(cfg.input_path)
     for f in table.header_findings:
-        emit(f)
-    return sink, emit, table
+        sink.emit(f)
+    return sink, table
 
 
 def _conclude(cfg: AuditConfig, command: str, table: RawTable, sha256: str, sink: FindingSink,
@@ -145,7 +148,7 @@ class _Run:
 
     cfg: AuditConfig
     table: RawTable
-    emit: Callable[[Finding], None]
+    emit: FindingSink       # every consumer's emit
     profiler: ProfileCollector
     consumers: list[RowConsumer] = dc_field(default_factory=list)
     wanted: dict[str, str] = dc_field(default_factory=dict)    # column -> config knob asking for it
@@ -168,15 +171,15 @@ class _Run:
 def _run(cfg: AuditConfig, command: str, stages, write: bool) -> RunResult:
     """Run one streaming command made of stages; see the module docstring."""
     _require_input(cfg)
-    sink, emit, table = _open(cfg)
+    sink, table = _open(cfg)
     fm = cfg.field_map
     profiler = ProfileCollector(
         distinct_cap=cfg.distinct_cap,
         sketch_capacity=cfg.sketch_capacity,
         top_k=cfg.top_k,
-        emit=emit,
+        emit=sink,
     )
-    run = _Run(cfg, table, emit, profiler, consumers=[profiler])
+    run = _Run(cfg, table, sink, profiler, consumers=[profiler])
 
     running = [stage(run) for stage in stages]
     for stage in running:
@@ -190,7 +193,7 @@ def _run(cfg: AuditConfig, command: str, stages, write: bool) -> RunResult:
         raise ConfigError(f"configured column(s) not in the header: {parts}") from None
 
     stream = run.stream = stream_rows(
-        table, run.consumers, emit=emit,
+        table, run.consumers, emit=sink,
         classifier=cfg.classifier(), parser=cfg.timestamp_parser(), key_field=fm.key, agency_field=fm.agency,
     )
     run.sections["stream"] = {
@@ -529,7 +532,7 @@ def run_reduce_apply(
         raise PlanError(f"plan file not found: {plan_path} (run reduce-plan first)")
     plan = ReductionPlan.read_json(plan_path)
 
-    sink, _emit, table = _open(cfg)
+    sink, table = _open(cfg)
     applied = apply_plan(
         table, plan, Path(cfg.out_dir),
         classifier=cfg.classifier(),

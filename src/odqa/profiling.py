@@ -8,9 +8,12 @@ is flagged approximate. distinct then reports the cap as a lower bound.
 
 Each column is counted per Batch from the batch's shared value counts
 and missing values, so the per-cell work runs in C: missing kinds add up
-per distinct missing value, raw size is the sum of the cell lengths, and
-per-agency presence is one Counter over the agencies of the rows whose
-cell is present. A column's batch counts merge into its exact counts
+per distinct missing value and raw size is the length of the joined
+cells. Per-agency presence is one running Counter of every batch's
+agencies, less a per-column Counter of the agencies of that column's
+missing cells; only a column with missing cells in a batch pays a pass
+over it, and finish drops the agencies left at zero and the rows without
+an agency. A column's batch counts merge into its exact counts
 while the new distinct values cannot pass the cap, so a column becomes
 approximate exactly when its true distinct count passes the cap. The
 batch that would pass it installs the exact counts into a sketch and is
@@ -188,15 +191,18 @@ class ProfileCollector(RowConsumer):
         self._missing: list[dict[str, int]] = [{} for _ in range(n)]
         self._counts: list[dict[str, int] | None] = [{} for _ in range(n)]
         self._sketches: list[SpaceSavingSketch | None] = [None] * n
-        self._agency: list[dict[str, int]] = [{} for _ in range(n)]
+        self._agencies: Counter = Counter()     # rows per agency
+        self._agency_missing: list[Counter] = [Counter() for _ in range(n)]     # missing cells per agency
 
     def consume_batch(self, batch: Batch) -> None:
         """Count the batch column by column; see the module docstring."""
         self._total += len(batch.ordinals)
         agencies = batch.agencies()
+        if agencies is not None:
+            self._agencies.update(agencies)
 
         for i, column in enumerate(batch.columns):
-            self._chars[i] += sum(map(len, column))
+            self._chars[i] += len("".join(column))
             present = batch.counts(i)
             absent = batch.missing(i)
             if absent:
@@ -204,15 +210,11 @@ class ProfileCollector(RowConsumer):
                 present = present.copy()
                 for v, kind in absent.items():
                     missing[kind] = missing.get(kind, 0) + present.pop(v)
+                if agencies is not None:
+                    self._agency_missing[i].update(compress(agencies, map(absent.__contains__, column)))
                 if not present:
                     continue
             self._present[i] += sum(present.values())
-
-            if agencies is not None:
-                per_agency = self._agency[i]
-                for a, n in Counter(compress(agencies, map(present.__contains__, column))).items():
-                    if a is not None:
-                        per_agency[a] = per_agency.get(a, 0) + n
 
             counts = self._counts[i]
             if counts is not None:
@@ -238,6 +240,8 @@ class ProfileCollector(RowConsumer):
                 top = sketch.top(self._top_k)
                 distinct = self._cap  # lower bound: the cap was reached
                 approximate = True
+            per_agency = self._agencies - self._agency_missing[i]   # drops the agencies left at 0
+            per_agency.pop(None, None)      # rows without an agency
             prof = ColumnProfile(
                 field=name,
                 total=self._total,
@@ -246,7 +250,7 @@ class ProfileCollector(RowConsumer):
                 distinct=distinct,
                 approximate=approximate,
                 top_values=top,
-                per_agency_present=self._agency[i],
+                per_agency_present=dict(per_agency),
                 raw_chars=self._chars[i],
                 exact_counts=counts,
             )

@@ -11,12 +11,14 @@ also negative) are counted explicitly rather than folded together.
 
 DurationAuditor works on the integer epochs of the batch's Readings, a
 column at a time: the hour histograms, midnight counts, durations, lags,
-their day histograms and the duration extremes are map, compress and
-Counter over the batch's columns. It walks rows, in row order, only for
-the rows that emit a finding: an unparseable, gap or placeholder reading
-on created or closed, a negative, zero or extreme duration, or an
-unparseable, infeasible or late update. The counts that go with a
-finding are kept there, so each rule's findings keep their row order.
+their day histograms, the duration extremes and every summary count are
+map, compress and Counter over the batch's columns. Each rule's flagged
+cells (an unparseable, gap or placeholder reading on created or closed,
+a negative, zero or extreme duration, an unparseable, infeasible or late
+update) are listed in row-major order. Only the first room(rule) of them
+are built into findings, emitted in the order a row-by-row walk gives;
+the sink tallies the rest. A plain emit callable has unbounded room, so
+it is handed every finding.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import compress, repeat
-from operator import and_, floordiv, gt, le, mod, not_, or_, sub
+from heapq import merge
+from itertools import compress, islice, repeat
+from operator import and_, eq, floordiv, gt, le, mod, not_, or_, sub
 from typing import Sequence
 
-from .findings import Measurement, make_finding
+from .findings import Finding, Measurement, as_sink, make_finding
 from .ingest import Batch, RawTable, RowConsumer
 from .timestamps import LocalTimestamp, Readings, ZoneStatus, wall_date
 
@@ -44,6 +47,20 @@ MIN_SPIKE_SAMPLE = 24
 
 _EPOCH = dt.date(1970, 1, 1)
 _ON_THE_HOUR = {h * 3600: h for h in range(24)}    # seconds of day -> hour, on the hour only
+
+# A row's findings, in the order a row-by-row walk emits them: each slot is
+# (rule, source), source the position in DurationAuditor.columns of the
+# cell reported, or the duration or lag whose seconds are reported.
+_DURATION, _LAG = "duration", "lag"
+_SLOTS = (
+    ("unparseable_timestamp", 0), ("dst_gap_invalid", 0), ("sentinel_date", 0),
+    ("unparseable_timestamp", 1), ("dst_gap_invalid", 1), ("sentinel_date", 1),
+    ("negative_duration", _DURATION), ("zero_duration", _DURATION), ("extreme_duration", _DURATION),
+    ("unparseable_timestamp", 2), ("post_close_infeasible", _LAG), ("post_close_update", _LAG),
+)
+_UNPARSEABLE, _GAP, _PLACEHOLDER = range(3)      # of created; add 3 for closed
+_NEGATIVE, _ZERO, _EXTREME, _UNPARSEABLE_UPDATE, _INFEASIBLE, _LATE = range(6, 12)
+_RULE_SLOTS = {rule: tuple(i for i, (r, _) in enumerate(_SLOTS) if r == rule) for rule, _ in _SLOTS}
 
 
 def _add_counts(into: dict, counts: Counter) -> None:
@@ -217,7 +234,7 @@ class DurationAuditor(RowConsumer):
         self.updated_field = updated_field
         self.columns = (created_field, closed_field) + ((updated_field,) if updated_field else ())
         self.rules = rules
-        self._emit = emit if emit is not None else (lambda f: None)
+        self._sink = as_sink(emit)
         self.summary = TemporalSummary()
 
     def start(self, table: RawTable) -> None:
@@ -234,8 +251,8 @@ class DurationAuditor(RowConsumer):
             s.parse_failures[self.updated_field] = 0
 
     def consume_batch(self, batch: Batch) -> None:
-        """Counts of the batch in column arithmetic, then the findings of
-        the rows that emit one, walked in row order.
+        """Counts of the batch in column arithmetic, then the findings that
+        fill a sample slot, in row order; see the module docstring.
 
         A cell without a reading (missing, unparseable or, for UTC, in a
         gap) reads as NaN (none), so every difference with it is NaN and
@@ -248,20 +265,27 @@ class DurationAuditor(RowConsumer):
             batch.parsed(self._iu)
         wall, utc, fallback = readings.wall, readings.utc, readings.fallback
         created, closed = batch.columns[self._ic], batch.columns[self._iz]
+        updated = None if self._iu is None else batch.columns[self._iu]
         agencies = batch.agencies()
         rows = range(len(created))
         day, zero, cutoff, none = repeat(86400), repeat(0), repeat(self._cutoff), repeat(math.nan)
         failed = {raw for raw, ts in fallback.items() if ts is None}
-        # the values a created or closed cell must report: unparseable, in a gap, on a placeholder date
-        odd = failed.union(raw for raw, ts in fallback.items()
-                           if ts is not None and ts.zone_status is ZoneStatus.DST_GAP_INVALID)
-        sentinel: set[str] = set()
+        gaps = {raw for raw, ts in fallback.items() if ts is not None and ts.zone_status is ZoneStatus.DST_GAP_INVALID}
+        cells: dict[int, list[int]] = {}      # slot -> the rows it flags, ascending
 
-        # parsed counts, on-the-hour histograms and midnight counts, per side
+        def flag(slot: int, flags) -> int:
+            hit = list(compress(rows, flags))
+            if hit:
+                cells[slot] = hit
+            return len(hit)
+
+        # per side: parse failures, parsed counts, on-the-hour histograms, midnight counts and odd cells
+        on_placeholder = []
         for side, (idx, column) in enumerate(((self._ic, created), (self._iz, closed))):
             counts = batch.counts(idx)
-            self._parsed[side] += (len(column) - sum(map(counts.__getitem__, batch.missing(idx)))
-                                   - sum(map(counts.__getitem__, failed)))
+            fails = sum(map(counts.__getitem__, failed))
+            s.parse_failures[self.columns[side]] += fails
+            self._parsed[side] += len(column) - sum(map(counts.__getitem__, batch.missing(idx))) - fails
             walls = list(map(wall.get, column, none))
             sods = list(map(mod, walls, day))
             hours = Counter(map(_ON_THE_HOUR.get, sods))
@@ -275,17 +299,27 @@ class DurationAuditor(RowConsumer):
                     by_agency = Counter(compress(agencies, map(not_, sods)))
                     by_agency.pop(None, None)       # rows without an agency
                     _add_counts(s.midnight.by_agency, by_agency)
-            sentinel.update(compress(column, map(self._sentinel_days.__contains__, map(floordiv, walls, day))))
-        odd |= sentinel
-        emits = [map(odd.__contains__, created), map(odd.__contains__, closed)] if odd else []
+            if fails:
+                flag(3 * side + _UNPARSEABLE, map(failed.__contains__, column))
+            if gaps:
+                flag(3 * side + _GAP, map(gaps.__contains__, column))
+            marks = list(map(self._sentinel_days.__contains__, map(floordiv, walls, day)))
+            if flag(3 * side + _PLACEHOLDER, marks):
+                on_placeholder.append(marks)
+        if gaps:
+            in_gap = map(or_, map(gaps.__contains__, created), map(gaps.__contains__, closed))
+            both_read = map(and_, map(wall.__contains__, created), map(wall.__contains__, closed))
+            s.gap_pairs += sum(map(and_, in_gap, both_read))
 
-        # durations between earliest UTC candidates; sentinel rows stay out of the distribution
+        # durations between earliest UTC candidates; placeholder rows stay out of the distribution
         closed_utc = list(map(utc.get, closed, none))
         durations = list(map(sub, closed_utc, map(utc.get, created, none)))
         spans = list(map(abs, durations))
         plausible = list(map(le, spans, cutoff))
-        if sentinel:
-            placeholder = map(or_, map(sentinel.__contains__, created), map(sentinel.__contains__, closed))
+        placeholder = None
+        if on_placeholder:
+            placeholder = on_placeholder[0] if len(on_placeholder) == 1 else list(map(or_, *on_placeholder))
+            s.sentinel_rows += sum(placeholder)
             plausible = list(map(and_, plausible, map(not_, placeholder)))
         kept = list(compress(durations, plausible))
         if kept:
@@ -296,124 +330,87 @@ class DurationAuditor(RowConsumer):
                 s.min_seconds = low
             if s.max_seconds is None or high > s.max_seconds:
                 s.max_seconds = high
-        emits.append(map(or_, map(le, durations, zero), map(gt, spans, cutoff)))    # negative, zero, extreme
+        explainable: set[int] = set()
+        if negatives := flag(_NEGATIVE, map(gt, zero, durations)):
+            s.negative += negatives
+            rows_negative = cells[_NEGATIVE]
+            if placeholder is not None:
+                s.sentinel_and_negative += sum(map(placeholder.__getitem__, rows_negative))
+            # only a closed value on a transition day has a later fold candidate
+            folds = compress(rows_negative, map(fallback.__contains__, map(closed.__getitem__, rows_negative)))
+            explainable = {r for r in folds if fallback[closed[r]].latest_utc >= utc[created[r]]}
+            s.dst_explainable_negatives += len(explainable)
+        s.zero += flag(_ZERO, map(eq, durations, zero))
+        s.extreme += flag(_EXTREME, map(gt, spans, cutoff))
 
-        updated = None if self._iu is None else batch.columns[self._iu]
+        lags = None
         if updated is not None:
-            # lags from close to update, the feasible ones counted here
+            # lags from close to update; the feasible ones make the distribution
+            fails = sum(map(batch.counts(self._iu).__getitem__, failed))
+            if fails:
+                s.parse_failures[self.updated_field] += fails
+                flag(_UNPARSEABLE_UPDATE, map(failed.__contains__, updated))
             lags = list(map(sub, map(utc.get, updated, none), closed_utc))
             lag_spans = list(map(abs, lags))
-            feasible = list(compress(lags, map(le, lag_spans, cutoff)))
-            s.post_close.pairs_checked += len(feasible)
-            _add_counts(s.post_close.lag_histogram_days, Counter(map(floordiv, feasible, day)))
-            emits.append(map(or_, map(gt, lag_spans, cutoff), map(gt, lags, repeat(self._window))))
-            if failed:
-                emits.append(map(failed.__contains__, updated))
+            feasible = list(map(le, lag_spans, cutoff))
+            fine = list(compress(lags, feasible))
+            infeasible = flag(_INFEASIBLE, map(gt, lag_spans, cutoff))
+            post = s.post_close
+            post.pairs_checked += len(fine) + infeasible
+            post.infeasible_count += infeasible
+            _add_counts(post.lag_histogram_days, Counter(map(floordiv, fine, day)))
+            post.late_count += flag(_LATE, map(and_, feasible, map(gt, lags, repeat(self._window))))
 
-        walk = set()
-        for flags in emits:
-            walk.update(compress(rows, flags))
-        if walk:
-            locators = batch.locators()
-            for r in sorted(walk):
-                self._row(created[r], closed[r], None if updated is None else updated[r], readings, odd, sentinel,
-                          locators[r], None if agencies is None else agencies[r])
+        # per rule, its flagged cells in row-major order: the first room(rule) are built, the rest tallied
+        chosen = []
+        for rule, slots in _RULE_SLOTS.items():
+            parts = [(slot, cells[slot]) for slot in slots if slot in cells]
+            if not parts:
+                continue
+            total = sum(len(hit) for _slot, hit in parts)
+            room = self._sink.room(rule)
+            chosen += islice(merge(*(zip(hit, repeat(slot)) for slot, hit in parts)), room)
+            if total > room:
+                self._sink.tally(rule, total - room)
+        if not chosen:
+            return
+        locators = batch.locators()
+        values = {_DURATION: durations, _LAG: lags, 0: created, 1: closed, 2: updated}
+        for r, slot in sorted(chosen):
+            rule, source = _SLOTS[slot]
+            self._sink.emit(self._finding(rule, source, values[source][r], readings, r in explainable,
+                                          locators[r], None if agencies is None else agencies[r]))
 
-    def _row(self, raw_c: str, raw_z: str, raw_u: str | None, readings: Readings, odd: set[str],
-             sentinel: set[str], locator, agency) -> None:
-        """Findings of one row, and the counts that go with them."""
-        s = self.summary
-        rules = self.rules
-        if raw_c in odd:
-            self._report(raw_c, readings, self.created_field, locator, agency)
-        if raw_z in odd:
-            self._report(raw_z, readings, self.closed_field, locator, agency)
-        is_sentinel = raw_c in sentinel or raw_z in sentinel
-        if is_sentinel:
-            s.sentinel_rows += 1
-        a, b = readings.utc.get(raw_c), readings.utc.get(raw_z)
-        if a is None or b is None:
-            if raw_c in readings.wall and raw_z in readings.wall:
-                s.gap_pairs += 1
-        else:
-            seconds = b - a
-            days = seconds / 86400.0
-            pair = (self.created_field, self.closed_field)
-            if seconds < 0:
-                s.negative += 1
-                if is_sentinel:
-                    s.sentinel_and_negative += 1
-                ts_z = readings.fallback.get(raw_z)     # a fold's later candidate
-                explainable = (b if ts_z is None else ts_z.latest_utc) - a >= 0
-                if explainable:
-                    s.dst_explainable_negatives += 1
+    def _finding(self, rule: str, source, value, readings: Readings, explainable: bool, locator, agency) -> Finding:
+        """One flagged cell's finding. source is the column position the
+        cell's text value comes from, or _DURATION or _LAG for the seconds."""
+        if source in (_DURATION, _LAG):
+            rules = self.rules
+            days = value / 86400.0
+            if rule == "negative_duration":
                 note = " (sign explainable by a DST fold)" if explainable else ""
-                self._flag("negative_duration", f"closed precedes created by {-days:.2f} day(s){note}",
-                           pair, locator, agency, days)
-            elif seconds == 0:
-                s.zero += 1
-                self._flag("zero_duration", "created and closed are equal to the second",
-                           pair, locator, agency, days)
-            if abs(seconds) > self._cutoff:
-                s.extreme += 1
-                self._flag("extreme_duration", f"absolute duration {abs(days):.1f} day(s) exceeds the "
-                           f"{rules.extreme_cutoff_days}-day plausibility cutoff", pair, locator, agency, days)
-        if raw_u is not None:
-            self._post_close(raw_u, b, readings, locator, agency)
-
-    def _flag(self, rule: str, message: str, fields: tuple[str, ...], locator, agency,
-              days: float | None = None) -> None:
-        """Emit one row's finding, measured in days when days is given."""
-        self._emit(make_finding(
-            rule, message, fields=fields, row_locator=locator, agency=agency,
-            measured=None if days is None else Measurement(round(days, 6), "days"),
-        ))
-
-    def _report(self, raw: str, readings: Readings, field: str, locator, agency) -> None:
-        """Findings for a created or closed cell that holds an odd value."""
-        wall = readings.wall.get(raw)
-        if wall is None:
-            self.summary.parse_failures[field] += 1
-            self._flag("unparseable_timestamp", f"{field!r} value {raw!r} matched no configured format",
-                       (field,), locator, agency)
-            return
-        ts = readings.fallback.get(raw)
-        if ts is not None and ts.zone_status is ZoneStatus.DST_GAP_INVALID:
-            self._flag("dst_gap_invalid", f"{field!r} reading {ts.isoformat()} falls in a spring-forward gap",
-                       (field,), locator, agency)
-        day = wall_date(wall)
-        if day in self.rules.sentinel_dates:
-            self._flag("sentinel_date", f"{field!r} carries placeholder date {day.isoformat()}",
-                       (field,), locator, agency)
-
-    def _post_close(self, raw_u: str, closed_utc: int | None, readings: Readings, locator, agency) -> None:
-        """Findings for an updated cell; consume_batch counts the feasible lags."""
-        s = self.summary
-        if raw_u not in readings.wall:
-            if raw_u not in readings.fallback:      # missing
-                return
-            s.parse_failures[self.updated_field] += 1
-            self._flag("unparseable_timestamp",
-                       f"{self.updated_field!r} value {raw_u!r} matched no configured format",
-                       (self.updated_field,), locator, agency)
-            return
-        updated_utc = readings.utc.get(raw_u)
-        if closed_utc is None or updated_utc is None:
-            return
-        lag = updated_utc - closed_utc
-        rules = self.rules
-        days = lag / 86400.0
-        fields = (self.closed_field, self.updated_field)
-        if abs(lag) > self._cutoff:
-            s.post_close.pairs_checked += 1
-            s.post_close.infeasible_count += 1
-            self._flag("post_close_infeasible", f"update lag {days:.1f} day(s) exceeds the "
-                       f"{rules.extreme_cutoff_days}-day cutoff; excluded from the distribution",
-                       fields, locator, agency, days)
-        elif lag > self._window:
-            s.post_close.late_count += 1
-            self._flag("post_close_update", f"record updated {days:.1f} day(s) after close "
-                       f"(window {rules.post_close_window_days} days)", fields, locator, agency, days)
+                message = f"closed precedes created by {-days:.2f} day(s){note}"
+            elif rule == "zero_duration":
+                message = "created and closed are equal to the second"
+            elif rule == "extreme_duration":
+                message = (f"absolute duration {abs(days):.1f} day(s) exceeds the "
+                           f"{rules.extreme_cutoff_days}-day plausibility cutoff")
+            elif rule == "post_close_infeasible":
+                message = (f"update lag {days:.1f} day(s) exceeds the "
+                           f"{rules.extreme_cutoff_days}-day cutoff; excluded from the distribution")
+            else:
+                message = f"record updated {days:.1f} day(s) after close (window {rules.post_close_window_days} days)"
+            fields = self.columns[:2] if source == _DURATION else self.columns[1:]
+            return make_finding(rule, message, fields=fields, row_locator=locator, agency=agency,
+                                measured=Measurement(round(days, 6), "days"))
+        field = self.columns[source]
+        if rule == "unparseable_timestamp":
+            message = f"{field!r} value {value!r} matched no configured format"
+        elif rule == "dst_gap_invalid":
+            message = f"{field!r} reading {readings.fallback[value].isoformat()} falls in a spring-forward gap"
+        else:
+            message = f"{field!r} carries placeholder date {wall_date(readings.wall[value]).isoformat()}"
+        return make_finding(rule, message, fields=(field,), row_locator=locator, agency=agency)
 
     def finish(self) -> TemporalSummary:
         s = self.summary
@@ -421,7 +418,7 @@ class DurationAuditor(RowConsumer):
             s.spike_parsed[field] = parsed
             if parsed < MIN_SPIKE_SAMPLE:
                 s.spikes[field] = None
-                self._emit(make_finding(
+                self._sink.emit(make_finding(
                     "insufficient_data",
                     f"{field!r}: {parsed} parsed timestamp(s); spike statistics need at least {MIN_SPIKE_SAMPLE}",
                     fields=(field,),
@@ -431,5 +428,5 @@ class DurationAuditor(RowConsumer):
             stats = evaluate_hour_histogram(hist, self.rules.sigma_multiplier)
             s.spikes[field] = stats
             for hour in stats.flagged:
-                self._emit(_spike_finding(field, stats, hour))
+                self._sink.emit(_spike_finding(field, stats, hour))
         return s

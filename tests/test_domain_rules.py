@@ -16,6 +16,7 @@ from odqa.domain_rules import (
     load_reference,
 )
 from odqa.errors import ConfigError
+from odqa.findings import FindingSink
 from odqa.ingest import DEFAULT_CLASSIFIER
 
 from conftest import feed
@@ -324,3 +325,50 @@ def test_column_digit_count_agrees_with_decimal_digits(values, batch_rows):
     assert audit.non_decimal == digits.count(None)
     assert audit.flagged == sum(n for d, n in counted.items() if d > 6)
     assert audit.max_decimals_seen == max(counted, default=0)
+
+
+# ------------------------------------------------- capped sinks against every finding
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(
+        st.sampled_from(["10001", "99999", "88888", "", "NA"]),
+        st.sampled_from(["10001", "77777", ""]),
+        st.sampled_from(["40.70", "41.50", "nan", "x", ""]),
+        st.sampled_from(["-74.00", "-75.00", ""]),
+        st.sampled_from(["K1", "K2", "K3", "", "NA"]),
+        st.sampled_from(["NYPD", "DOT", ""]),
+    ), max_size=50),
+    batch_rows=st.sampled_from([1, 7, 256]),
+    cap=st.sampled_from([1, 3, 100]),
+)
+def test_capped_sinks_get_what_every_finding_would_give(rows, batch_rows, cap):
+    """Reference, geo and required-key checkers handed a FindingSink build
+    only what fits each rule's room; results and sink end as with a plain
+    callable whose findings all reach the sink."""
+    names = ("zip_a", "zip_b", "latitude", "longitude", "key", "agency")
+    columns = {name: [r[i] for r in rows] for i, name in enumerate(names)}
+
+    def checkers(emit):
+        return [
+            ReferenceChecker({"zip_a": ZIPS, "zip_b": ZIPS}, emit=emit),
+            GeoBoundsChecker("latitude", "longitude", emit=emit),
+            UniqueChecker([("key", True), ("zip_b", True)], emit=emit),
+        ]
+
+    def results(emit):
+        return [feed(c, columns, batch_rows=batch_rows, key_field="key", agency_field="agency")
+                for c in checkers(emit)]
+
+    got = []
+    want_results = results(got.append)
+    want = FindingSink(cap)
+    for f in got:
+        want.emit(f)
+    references, geo, uniques = want_results
+    assert sum(res.invalid for res in references.values()) == want.counts.get("invalid_value", 0)
+    assert geo.out_of_bounds == want.counts.get("geo_out_of_bounds", 0)
+    assert sum(res.missing for res in uniques) == want.counts.get("missing_key", 0)    # both specs required
+    capped = FindingSink(cap)
+    assert results(capped) == want_results
+    assert (capped.counts, capped.severity_counts, capped.samples) == (want.counts, want.severity_counts, want.samples)

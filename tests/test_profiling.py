@@ -471,3 +471,33 @@ def test_cap_met_or_passed_by_the_last_row_of_a_batch(cap, approximate):
     (p,) = feed(ProfileCollector(distinct_cap=cap, sketch_capacity=300), {"v": values})
     assert p.approximate is approximate
     assert p.distinct == cap
+
+
+# ------------------------------------------------------- per-agency presence
+
+def test_an_agency_with_every_cell_missing_is_not_listed():
+    rows = [["NYPD", "x"], ["DOT", ""], ["DOT", "NA"], ["", "y"], ["NYPD", ""]]
+    for batch_rows in (1, 7, 256):
+        columns = {"agency": [r[0] for r in rows], "status": [r[1] for r in rows]}
+        profiles = feed(ProfileCollector(), columns, batch_rows=batch_rows, agency_field="agency")
+        assert profiles[1].per_agency_present == {"NYPD": 1}
+        assert profiles[0].per_agency_present == {"NYPD": 2, "DOT": 2}
+
+
+@settings(max_examples=100)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(["NYPD", "DOT", "DSNY", "", "NA"]),
+                            st.sampled_from(["", "NA", "x", "y"]),
+                            st.sampled_from(["", "z"])), max_size=40),
+    batch_rows=st.sampled_from([1, 7, 256]),
+)
+def test_per_agency_presence_matches_a_row_by_row_count(rows, batch_rows):
+    columns = {name: [r[i] for r in rows] for i, name in enumerate(("agency", "a", "b"))}
+    profiles = feed(ProfileCollector(), columns, batch_rows=batch_rows, agency_field="agency")
+
+    def present(v):
+        return DEFAULT_CLASSIFIER.kind_of(v) is None
+
+    for i, prof in enumerate(profiles):
+        want = Counter(r[0] for r in rows if present(r[0]) and present(r[i]))
+        assert prof.per_agency_present == dict(want), prof.field

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import datetime as dt
 
+from odqa.findings import FindingSink, Severity
 from odqa.ingest import open_table, stream_rows
 from odqa.temporal import (
     DurationAuditor,
@@ -578,3 +579,42 @@ def test_epoch_zero_readings_count_everywhere():
     hist = audit({"created": [zero_utc, zero_wall] * 12, "closed": [""] * 24})[0].spikes["created"].histogram
     assert hist[0] == 12 and hist[19] == 12
     assert [f.rule_id for f in findings if f.row_locator is not None] == ["negative_duration"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(temporal_values, temporal_values, temporal_values,
+                            st.sampled_from(["NYPD", "DOT", "NA", ""])), max_size=60),
+    cutoff_days=st.sampled_from([0, 1, 30, 730]),
+    window_days=st.sampled_from([0, 1, 30]),
+    sentinel=st.sampled_from([dt.date(1900, 1, 1), dt.date(2023, 6, 1)]),
+    with_updated=st.booleans(),
+    batch_rows=st.sampled_from([1, 7, 256]),
+    cap=st.sampled_from([1, 3, 100]),
+    overrides=st.sampled_from([{}, {"extreme_duration": Severity.ERROR, "unparseable_timestamp": Severity.INFO}]),
+)
+def test_a_capped_sink_gets_what_every_finding_would_give(rows, cutoff_days, window_days, sentinel, with_updated,
+                                                         batch_rows, cap, overrides):
+    """The same tables as the row-by-row check: a FindingSink handed to the
+    auditor, which builds only what fits each rule's room, ends as a sink
+    fed every finding of a plain callable."""
+    rules = TemporalRules(sentinel_dates=(sentinel,), extreme_cutoff_days=cutoff_days,
+                          post_close_window_days=window_days)
+    columns = {"created": [r[0] for r in rows], "closed": [r[1] for r in rows], "agency": [r[3] for r in rows]}
+    if with_updated:
+        columns["updated"] = [r[2] for r in rows]
+    updated_field = "updated" if with_updated else None
+
+    def run(emit):
+        auditor = DurationAuditor(created_field="created", closed_field="closed", updated_field=updated_field,
+                                  rules=rules, emit=emit)
+        return feed(auditor, columns, batch_rows=batch_rows, agency_field="agency").as_dict()
+
+    got = []
+    want_summary = run(got.append)
+    want = FindingSink(cap, overrides)
+    for f in got:
+        want.emit(f)
+    capped = FindingSink(cap, overrides)
+    assert run(capped) == want_summary
+    assert (capped.counts, capped.severity_counts, capped.samples) == (want.counts, want.severity_counts, want.samples)
