@@ -3,8 +3,13 @@
 read_records reads RFC 4180 files (comma delimiter, double-quote quoting
 with quote doubling, LF or CRLF line ends, UTF-8 with optional BOM) in
 bounded memory for every pass; apply and the rebuild refuse what the
-audit reports. One stream_rows pass drives any number of consumers, so
-every audit check shares one read of the file. Delivered rows reach
+audit reports. A line that holds one whole record in the regular shape
+(see _split_regular) is split by C string methods, with no per-character
+loop; every other line goes to one strict csv reader, which decides what
+is accepted, so the rows are those the csv reader alone would give.
+
+One stream_rows pass drives any number of consumers, so every audit
+check shares one read of the file. Delivered rows reach
 consumers in batches of BATCH_ROWS: stream_rows transposes each batch
 once, and the batch counts each column's distinct values, finds its
 missing values and parses its timestamps (column-wise, into integer
@@ -372,6 +377,75 @@ class _LineFeed:
             raise csv.Error(f"invalid UTF-8 at byte {at} ({exc.reason})") from None
 
 
+class _HeldLine:
+    """The csv reader's lines: one line read_records gave back, then the feed's."""
+
+    __slots__ = ("feed", "line")
+
+    def __init__(self, feed: _LineFeed):
+        self.feed = feed
+        self.line: str | None = None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        line, self.line = self.line, None
+        return next(self.feed) if line is None else line
+
+
+def _split_regular(line: str, limit: int) -> list[str] | None:
+    """The cells of a line that holds one whole record in the regular shape,
+    split by C string methods; None for any other line.
+
+    The regular shape ends in LF or CRLF (or at the end of the file), holds
+    no other CR and no NUL, is not blank, is at most limit characters long
+    without its line end (so no field passes the csv field limit), and
+    every quote in it opens or closes a field, doubled inside. On such a
+    line the strict csv reader gives these cells; on any other it decides,
+    NUL included, which Python 3.10's csv module rejects and 3.11's reads.
+    """
+    if line[-1:] != "\n" or "\r" in line:    # brought to the common form: one LF and no CR
+        body = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+        if "\r" in body:
+            return None
+        line = body + "\n"
+    if line == "\n" or len(line) > limit + 1 or "\x00" in line:
+        return None
+    if '"' not in line:
+        cells = line.split(",")
+        cells[-1] = cells[-1][:-1]
+        return cells
+    # parts alternate between text outside quotes (even) and inside (odd)
+    parts = line.split('"')
+    if not len(parts) & 1:
+        return None
+    cells = parts[0].split(",")
+    if cells.pop():             # the first quote must open a field
+        return None
+    field = parts[1]
+    i, last = 2, len(parts) - 1
+    while i < last:
+        between = parts[i]
+        if not between:         # a doubled quote inside the field
+            field += '"' + parts[i + 1]
+        elif between[0] == "," == between[-1]:
+            cells.append(field)
+            if len(between) > 1:
+                cells += between[1:-1].split(",")
+            field = parts[i + 1]
+        else:
+            return None
+        i += 2
+    cells.append(field)
+    tail = parts[last]
+    if tail != "\n":
+        if tail[0] != ",":
+            return None
+        cells += tail[1:-1].split(",")
+    return cells
+
+
 # the read_records policies that refuse, each the end of its refusal messages
 REFUSE_INPUT = "; audit and repair before reducing"
 REFUSE_OWN = " in {}"       # formatted with the path
@@ -379,6 +453,12 @@ REFUSE_OWN = " in {}"       # formatted with the path
 
 def read_records(path: str | os.PathLike, size: int, policy: Callable[[Finding], None] | str):
     """odqa's one CSV record reader: strict RFC 4180 quoting over path's lines.
+
+    A line in the regular shape is split by _split_regular. Any other line
+    goes back to the one strict csv reader, which reads the record it
+    starts (with the lines that record takes) and decides; it also reads
+    the header. A field longer than csv.field_size_limit() is a record it
+    rejects.
 
     Yields the _LineFeed reading path (its sha256 is the file's once all is
     read) with the header row, then (ordinals, rows) per `size` records of
@@ -389,25 +469,36 @@ def read_records(path: str | os.PathLike, size: int, policy: Callable[[Finding],
     (files odqa wrote) also refuse invalid UTF-8: they yield the rows before
     the bad record, then raise a PlanError naming its row and the byte
     offset of invalid UTF-8. A blank line is not a record, but when refusing,
-    as no rebuild restores one, a row of 0 cells. A missing header or
-    one the csv reader rejects raises InputError, or PlanError when refusing.
+    as no rebuild restores one, a row of 0 cells. A missing header, a blank
+    first line or a header the csv reader rejects raises InputError, or
+    PlanError when refusing.
     """
     refuse = None if callable(policy) else policy.format(path)
+    limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         feed = _LineFeed(fh, "strict" if refuse else "replace")
-        reader = csv.reader(feed, strict=True)
+        held = _HeldLine(feed)
+        reader = csv.reader(held, strict=True)
         try:
             header = next(reader)
-        except (StopIteration, csv.Error) as exc:
-            why = f"header: {exc}" if isinstance(exc, csv.Error) else "no header row"
-            raise PlanError(f"{why}{refuse}") if refuse else InputError(f"{path}: {why}") from None
+            why = None if header else "no header row (the first line is blank)"
+        except StopIteration:
+            why = "no header row"
+        except csv.Error as exc:
+            why = f"header: {exc}"
+        if why:
+            raise PlanError(f"{why}{refuse}") if refuse else InputError(f"{path}: {why}")
         yield feed, header
         width = len(header)
         ordinal, ordinals, rows, failure = 0, [], [], None
         while True:
             record_offset = feed.next_offset
             try:
-                row = next(reader)
+                line = next(feed)
+                row = _split_regular(line, limit)
+                if row is None:
+                    held.line = line
+                    row = next(reader)
             except StopIteration:
                 break
             except csv.Error as exc:

@@ -7,8 +7,9 @@ main file, sidecars (the non-empty cells of sparse columns, keyed by their
 1-based row ordinal) and dictionaries (encoded columns); reconstruct
 inverts a lossless plan, merging each sidecar into the reduced file batch
 by batch. Both read through ingest.read_records, which refuses any bad
-record, build whole columns of REDUCE_BATCH_ROWS rows and write each row
-through _write_columns, quoting what csv.writer was seen to quote.
+record, build whole columns of REDUCE_BATCH_ROWS rows and write each batch
+through _write_columns as one string, quoting what csv.writer was seen to
+quote.
 """
 
 from __future__ import annotations
@@ -50,24 +51,37 @@ _ONE_EMPTY = _csv_line("")
 
 
 def _quoted(column: Sequence[str]) -> Sequence[str]:
-    """The column with the fields csv.writer would quote quoted, found by C scans."""
+    """The column with the fields csv.writer would quote quoted, found by C scans.
+
+    A column whose every cell needs quoting, none holding a quote or NUL,
+    is quoted by one join and one split; otherwise only the flagged cells
+    are rebuilt.
+    """
     joined = "\x00".join(column)
     found = [c for c in _QUOTED if c in joined]
     if not found:
         return column
-    flags = zip(*[map(str.__contains__, column, repeat(c)) for c in found])
-    return ['"' + v.replace('"', '""') + '"' if any(f) else v for v, f in zip(column, flags)]
+    hits = [map(str.__contains__, column, repeat(c)) for c in found]
+    flags = list(map(any, zip(*hits)) if len(hits) > 1 else hits[0])
+    if all(flags) and '"' not in found and joined.count("\x00") == len(column) - 1:
+        return ('"' + '"\x00"'.join(column) + '"').split("\x00")
+    column = list(column)
+    for i in compress(range(len(column)), flags):
+        column[i] = '"' + column[i].replace('"', '""') + '"'
+    return column
 
 
 def _write_columns(fh, columns: Sequence[Sequence[str]], rows: int) -> None:
     """Write `rows` rows given as equal-length columns, byte for byte as
-    csv.writer(fh, lineterminator="\\n").writerows would."""
+    csv.writer(fh, lineterminator="\\n").writerows would, as one string."""
+    if not rows:
+        return
     if not columns:
         return fh.write("\n" * rows)       # a row of no fields is a blank line
     columns = [_quoted(c) for c in columns]
     if len(columns) == 1:
         columns[0] = [v or _ONE_EMPTY for v in columns[0]]
-    fh.writelines(map(str.__add__, map(",".join, zip(*columns)), repeat("\n")))
+    fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def code_width_for(entry_count: int) -> int:

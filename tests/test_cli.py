@@ -291,3 +291,13 @@ def test_empty_input_is_exit_2(tmp_path, capsys):
     assert main(["profile", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("odqa: error:") and "no header row" in err
+
+
+def test_blank_first_line_is_exit_2(tmp_path, capsys):
+    (tmp_path / "blank.csv").write_bytes(b"\na,b\n1,2\n")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("input: blank.csv\nout_dir: out\n", encoding="utf-8")
+    assert main(["profile", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"odqa: error: {tmp_path / 'blank.csv'}: no header row (the first line is blank)\n"
+    assert not (tmp_path / "out").exists()

@@ -1,26 +1,33 @@
 """Streaming CSV ingestion: framing, headers, missing-value vocabulary."""
 
+import csv
 import hashlib
 import re
 import string
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import odqa
+from odqa import ingest
 from odqa.config import AuditConfig
 from odqa.domain_rules import GeoBoundsChecker, PrecisionAuditor, ReferenceChecker, UniqueChecker
-from odqa.errors import InputError
-from odqa.findings import FindingSink
+from odqa.errors import InputError, PlanError
+from odqa.findings import FindingSink, make_finding
 from odqa.ingest import (
     _CHUNK,
+    BATCH_ROWS,
     BOM,
     DEFAULT_CLASSIFIER,
+    REFUSE_INPUT,
     MissingClassifier,
     RowConsumer,
+    _LineFeed,
     normalize_header,
     open_table,
+    read_records,
     stream_rows,
 )
 from odqa.pipeline import run_profile
@@ -349,3 +356,201 @@ def test_only_ingest_looks_names_up_in_the_header():
         text = path.read_text(encoding="utf-8")
         lookups[path.name] = text.count("column_index(") + text.count("headers.index(")
     assert {name: n for name, n in lookups.items() if n} == {"ingest.py": 1}
+
+
+# ---------------------------------------------------------------- regular lines
+
+def reference_records(path, size, policy):
+    """The reference for read_records: its loop with every record read by
+    one csv.reader(strict=True), no line split by string methods."""
+    refuse = None if callable(policy) else policy.format(path)
+    with open(path, "rb") as fh:
+        feed = _LineFeed(fh, "strict" if refuse else "replace")
+        reader = csv.reader(feed, strict=True)
+        try:
+            header = next(reader)
+            why = None if header else "no header row (the first line is blank)"
+        except StopIteration:
+            why = "no header row"
+        except csv.Error as exc:
+            why = f"header: {exc}"
+        if why:
+            raise PlanError(f"{why}{refuse}") if refuse else InputError(f"{path}: {why}")
+        yield feed, header
+        width = len(header)
+        ordinal, ordinals, rows, failure = 0, [], [], None
+        while True:
+            record_offset = feed.next_offset
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                if refuse:
+                    failure = PlanError(f"row {ordinal + 1}: {exc}{refuse}")
+                    break
+                policy(make_finding(
+                    "malformed_quoting",
+                    f"unparseable record near byte {record_offset}: {exc}",
+                    row_locator=record_offset,
+                ))
+                continue
+            if not row and not refuse:
+                continue
+            ordinal += 1
+            if len(row) != width:
+                if refuse:
+                    failure = PlanError(f"row {ordinal}: {len(row)} cells, expected {width}{refuse}")
+                    break
+                policy(make_finding(
+                    "ragged_row",
+                    f"row {ordinal} has {len(row)} cells, expected {width}",
+                    row_locator=ordinal,
+                ))
+                continue
+            ordinals.append(ordinal)
+            rows.append(row)
+            if len(rows) == size:
+                yield ordinals, rows
+                ordinals, rows = [], []
+    if rows:
+        yield ordinals, rows
+    if failure:
+        raise failure
+
+
+def outcome(read, path, refuse):
+    """Everything a reader gives for path: header and batches, findings,
+    the refusal, and the feed's digest and BOM flag."""
+    findings, got, feed, refusal = [], [], None, None
+    records = read(path, 2, refuse or findings.append)
+    try:
+        feed, header = next(records)
+        got.append(header)
+        for batch in records:
+            got.append(batch)
+    except (InputError, PlanError) as exc:
+        refusal = (type(exc), str(exc))
+    found = [(f.rule_id, f.message, f.row_locator) for f in findings]
+    digest = feed and (feed.sha256.hexdigest(), feed.has_bom)
+    return got, found, refusal, digest
+
+
+def quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+# "\udcff" is written as the byte 0xff, invalid UTF-8
+CELL_TEXT = st.text(st.sampled_from(["a", "b", " ", "é", "中", ",", '"', "\n", "\r", "\x00", "\udcff"]), max_size=4)
+CELL = st.one_of(CELL_TEXT.filter(lambda t: not set(t) & set(',"\n\r')), CELL_TEXT.map(quoted), CELL_TEXT)
+SOUP = st.lists(st.sampled_from([",", '"', '""', "a", "é", "\x00", "\r", " ", '"a"b', 'a"b', "\udcff"]), max_size=6)
+LINE = st.tuples(
+    st.one_of(st.lists(CELL, min_size=1, max_size=3).map(",".join), SOUP.map("".join)),
+    st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+)
+
+
+@st.composite
+def csv_files(draw):
+    lines = [text + end for text, end in draw(st.lists(LINE, min_size=1, max_size=8))]
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")      # no final newline
+    bom = BOM if draw(st.booleans()) else b""
+    return bom + "".join(lines).encode("utf-8", "surrogateescape")
+
+
+@given(csv_files(), st.sampled_from([3, 7, 64, _CHUNK]), st.sampled_from([None, 3]))
+@example(b"k,a\r\n1,2\r\n3,4\r\n", _CHUNK, None)                # CRLF line ends
+@example(BOM + b"k,a\n1,2\n", _CHUNK, None)                      # a BOM
+@example(b"k,a\n1,2\n3,4", _CHUNK, None)                         # no final newline
+@example(b'"k","a b",c\n1,"x""y",""""\n', _CHUNK, None)        # a quoted header
+@example(b"k,a\n1,2\n3,4\r\n5,6\n", _CHUNK, None)                # one CRLF line in an LF file
+@example(b'k,a\nabcd\nabcd,1\n"abcd",2\n"a""b","""",x\n', 3, 3)  # fields at and over a lowered limit
+@example(b'k,a\nx"y",z\n"x",y"z"\n"x"y,z\n', _CHUNK, None)     # stray quotes
+@example(b'k,a\n"",",\n2"\n', _CHUNK, None)                      # a quoted LF after a closed field
+@example(b'k,a\n1,2\r3,4\n"5\r",6\n7,8\r', _CHUNK, None)            # lone CRs
+@example(b"\nk,a\n1,2\n", _CHUNK, None)                           # a blank first line
+@settings(deadline=None)
+def test_read_records_matches_one_strict_csv_reader(tmp_path_factory, data, chunk, limit):
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(data)
+    default = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        with patch.object(ingest, "_CHUNK", chunk):
+            for refuse in (None, REFUSE_INPUT):
+                assert outcome(read_records, path, refuse) == outcome(reference_records, path, refuse)
+    finally:
+        csv.field_size_limit(default)
+
+
+def test_a_blank_first_line_is_no_header(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"\na,b\n1,2\n")
+    with pytest.raises(InputError, match=f"^{re.escape(str(p))}: no header row \\(the first line is blank\\)$"):
+        open_table(p)
+    with pytest.raises(PlanError, match=r"^no header row \(the first line is blank\); audit and repair"):
+        next(read_records(p, BATCH_ROWS, REFUSE_INPUT))
+
+
+@pytest.mark.parametrize("field", ["x" * (1 << 17) + "x", quoted("y" * (1 << 17) + "y")], ids=["bare", "quoted"])
+def test_a_field_past_the_limit_is_a_malformed_record(tmp_path, field):
+    assert csv.field_size_limit() == 1 << 17
+    p = tmp_path / "t.csv"
+    p.write_text(f"a,b\n1,2\n{field},3\n4,5\n", encoding="utf-8")
+    sink = FindingSink()
+    _, rows, result = read_all(p, emit=sink.emit)
+    assert rows == [(1, ["1", "2"]), (2, ["4", "5"])]
+    assert result.skipped_malformed == 1
+    [finding] = sink.samples["malformed_quoting"]
+    assert finding.row_locator == 8
+    assert finding.message == "unparseable record near byte 8: field larger than field limit (131072)"
+
+
+class CountingCsv:
+    """Stands in for the csv module in odqa.ingest, recording per reader
+    what each record it is asked for gives: the row, or the error."""
+
+    Error = csv.Error
+    field_size_limit = staticmethod(csv.field_size_limit)
+
+    def __init__(self):
+        self.readers = []
+
+    def reader(self, lines, **options):
+        seen = []
+        self.readers.append(seen)
+        return CountingReader(csv.reader(lines, **options), seen)
+
+
+class CountingReader:
+    def __init__(self, reader, seen):
+        self.reader, self.seen = reader, seen
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        try:
+            row = next(self.reader)
+        except csv.Error as exc:
+            self.seen.append(str(exc))
+            raise
+        self.seen.append(row)
+        return row
+
+
+def test_only_irregular_lines_reach_the_csv_reader(fixture_10k, tmp_path, monkeypatch):
+    shim = CountingCsv()
+    monkeypatch.setattr(ingest, "csv", shim)
+    table = open_table(fixture_10k.csv_path)
+    assert stream_rows(table, []).delivered == 10_000
+    assert shim.readers == [[table.raw_headers]] * 2
+
+    shim.readers.clear()
+    p = tmp_path / "t.csv"
+    p.write_bytes(b'a,b\n1,2\n"x\ry",3\n"l1\nl2",4\n"a"b,5\n6,"7"\n')
+    _, rows, _ = read_all(p)
+    assert [r for _, r in rows] == [["1", "2"], ["x\ry", "3"], ["l1\nl2", "4"], ["6", "7"]]
+    assert shim.readers == [[["a", "b"]], [["a", "b"], ["x\ry", "3"], ["l1\nl2", "4"], "',' expected after '\"'"]]

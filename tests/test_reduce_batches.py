@@ -54,12 +54,23 @@ BATCHES = st.integers(min_value=1, max_value=6).flatmap(
 @example([[""]])
 @example([["a"], [""], ['"']])
 @example([["", ""], ["\r", "x\ny"]])
+@example([])
+@example([["a,", "x"], [",\x00b", "y"], [",", "z"]])       # every cell holds a comma, one holds NUL
+@example([["a,", "1"], ['b"', "2"], ["\n", "3"]])          # every cell needs quoting, one holds a quote
+@example([[f"{i}, {'d' * 850}"[:850] if i % 3 else "e" * 850, "(40.1, -73.9)"] for i in range(B)])
 def test_write_columns_matches_csv_writer(rows):
     expect = io.StringIO()
     csv.writer(expect, lineterminator="\n").writerows(rows)
     got = io.StringIO()
     _write_columns(got, list(zip(*rows)), len(rows))
     assert got.getvalue() == expect.getvalue()
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_write_columns_writes_nothing_for_no_rows(width):
+    got = io.StringIO()
+    _write_columns(got, [[] for _ in range(width)], 0)
+    assert got.getvalue() == ""
 
 
 # ------------------------------------------------------------------ apply refusals
@@ -113,6 +124,15 @@ def test_apply_refuses_a_blank_line(tmp_path):
     rows = [[] if o == B + 1 else [f"K{o}", "v"] for o in range(1, TOTAL + 1)]
     err = refused(tmp_path, ["k", "v"], rows, plan_for(["k", "v"]))
     assert str(err) == f"row {B + 1}: 0 cells, expected 2; audit and repair before reducing"
+
+
+@pytest.mark.parametrize("big", ["x" * (1 << 17) + "x", "y," * (1 << 16) + "y"], ids=["bare", "quoted"])
+def test_apply_refuses_a_field_past_the_limit(tmp_path, big):
+    assert csv.field_size_limit() == 1 << 17
+    rows = [[f"K{o}", big if o == B + 1 else "v"] for o in range(1, TOTAL + 1)]
+    err = refused(tmp_path, ["k", "v"], rows, plan_for(["k", "v"]))
+    assert type(err) is PlanError
+    assert str(err) == f"row {B + 1}: field larger than field limit (131072); audit and repair before reducing"
 
 
 @pytest.mark.parametrize("bad", [11, B, B + 1, 2 * B + 1])     # ten codes fit before row 11
