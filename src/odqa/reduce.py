@@ -51,20 +51,13 @@ _ONE_EMPTY = _csv_line("")
 
 
 def _quoted(column: Sequence[str]) -> Sequence[str]:
-    """The column with the fields csv.writer would quote quoted, found by C scans.
-
-    A column whose every cell needs quoting, none holding a quote or NUL,
-    is quoted by one join and one split; otherwise only the flagged cells
-    are rebuilt.
-    """
+    """The column with the fields csv.writer would quote quoted, found by C
+    scans; only the flagged cells are rebuilt."""
     joined = "\x00".join(column)
     found = [c for c in _QUOTED if c in joined]
     if not found:
         return column
-    hits = [map(str.__contains__, column, repeat(c)) for c in found]
-    flags = list(map(any, zip(*hits)) if len(hits) > 1 else hits[0])
-    if all(flags) and '"' not in found and joined.count("\x00") == len(column) - 1:
-        return ('"' + '"\x00"'.join(column) + '"').split("\x00")
+    flags = map(any, zip(*(map(str.__contains__, column, repeat(c)) for c in found)))
     column = list(column)
     for i in compress(range(len(column)), flags):
         column[i] = '"' + column[i].replace('"', '""') + '"'
